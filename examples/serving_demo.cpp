@@ -20,10 +20,12 @@
 // them to the stub:
 //
 //   ./example_serving_demo --save_big=/tmp/big.apnw           # train + save
-//   ./build/cloud_stub --listen=uds:/tmp/appeal-cloud.sock \
+//   ./build/cloud_stub --listen=uds:/tmp/appeal-cloud.sock
 //       --scorer=network --weights=/tmp/big.apnw --workers=2 &
-//   ./example_serving_demo --transport=uds \
+//   ./example_serving_demo --transport=uds
 //       --endpoint=/tmp/appeal-cloud.sock
+//
+// (three commands, each wrapped here; type each on one line)
 //
 // (Training is deterministic, so the second run trains the same system
 // the weights were saved from; the stub loads them into the identical

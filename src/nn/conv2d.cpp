@@ -1,7 +1,9 @@
 #include "nn/conv2d.hpp"
 
+#include <xmmintrin.h>
+
+#include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "nn/inference_workspace.hpp"
 #include "tensor/gemm.hpp"
@@ -92,112 +94,128 @@ tensor conv2d::forward(const tensor& input, bool training) {
 
 namespace {
 
-/// Direct depthwise convolution (groups == in == out channels): each
-/// output plane is one K x K stencil over its input plane. im2col would
-/// copy every pixel K*K times only to feed [1 x patch] GEMMs; the direct
-/// loop reads each input once. Interior output rows skip bounds checks.
-void depthwise_direct(const ops::conv_geometry& g, std::size_t channels,
-                      const float* input, const float* weights,
-                      const float* bias, float act_lo, float act_hi,
-                      std::size_t n, float* out) {
-  const bool clamp =
-      act_lo != -std::numeric_limits<float>::infinity() ||
-      act_hi != std::numeric_limits<float>::infinity();
+/// Depthwise convolution (groups == in == out channels), one kernel for
+/// every stride, padding and plane size. Channels are taken four at a
+/// time, one per SSE lane: each group's input planes are copied once,
+/// transposed so the four channels of a pixel sit in one vector, into a
+/// zero-bordered scratch borrowed from the workspace. Every tap of every
+/// output is then one unchecked vector multiply-add, whatever the stride
+/// — no lane idles on narrow output rows (a 2x2 plane still fills all
+/// four). Four outputs accumulate together to hide the add latency; each
+/// sums in the reference stencil's order — bias, then ky, kx — and the
+/// fused clamp applies at the store. Padding taps add w * 0, which leaves
+/// every value unchanged.
+void depthwise_conv(const ops::conv_geometry& g, std::size_t channels,
+                    const float* input, const float* weights,
+                    const float* bias, float act_lo, float act_hi,
+                    std::size_t n, float* out, inference_workspace& ws) {
+  constexpr std::size_t L = 4;  // channels per group = SSE lanes
+  const std::size_t k = g.kernel;
+  const std::size_t s = g.stride;
+  const std::size_t p = g.padding;
+  const std::size_t taps = k * k;
   const std::size_t out_h = g.out_height();
   const std::size_t out_w = g.out_width();
   const std::size_t cols = out_h * out_w;
   const std::size_t in_plane = g.height * g.width;
-  const auto h = static_cast<std::ptrdiff_t>(g.height);
-  const auto w = static_cast<std::ptrdiff_t>(g.width);
+  const std::size_t pw = g.width + 2 * p;
 
-  // Columns whose whole kernel window is horizontally in bounds — the
-  // interior loop runs unchecked.
-  const std::size_t ox_lo =
-      std::min(out_w, (g.padding + g.stride - 1) / g.stride);
-  const std::size_t ox_hi =
-      g.width + g.padding >= g.kernel
-          ? std::min(out_w, (g.width + g.padding - g.kernel) / g.stride + 1)
-          : 0;
+  // Scratch: the group's taps as lane vectors, then the padded image as
+  // [padded row][padded column][lane]. Interiors are overwritten for each
+  // group and sample; the border stays zero. In a last group of fewer
+  // than four channels the spare lanes keep stale values and are never
+  // stored.
+  inference_workspace::buffer scratch =
+      ws.borrow((taps + (g.height + 2 * p) * pw) * L);
+  std::fill(scratch.data(), scratch.data() + scratch.size(), 0.0F);
+  float* wv = scratch.data();
+  float* padded = wv + taps * L;
+  const __m128 lo = _mm_set1_ps(act_lo);
+  const __m128 hi = _mm_set1_ps(act_hi);
 
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      const float* src = input + (s * channels + c) * in_plane;
-      const float* wch = weights + c * g.kernel * g.kernel;
-      float* dst = out + (s * channels + c) * cols;
-      const float b = bias != nullptr ? bias[c] : 0.0F;
-      for (std::size_t oy = 0; oy < out_h; ++oy) {
-        const std::ptrdiff_t iy0 =
-            static_cast<std::ptrdiff_t>(oy * g.stride) -
-            static_cast<std::ptrdiff_t>(g.padding);
-        const std::size_t ky_lo =
-            iy0 < 0 ? static_cast<std::size_t>(-iy0) : 0;
-        const std::size_t ky_hi =
-            iy0 >= h ? 0
-                     : (iy0 + static_cast<std::ptrdiff_t>(g.kernel) > h
-                            ? static_cast<std::size_t>(h - iy0)
-                            : g.kernel);
-        float* drow = dst + oy * out_w;
+  for (std::size_t c0 = 0; c0 < channels; c0 += L) {
+    const std::size_t lanes = std::min(L, channels - c0);
+    alignas(16) float lane_bias[L] = {};
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t t = 0; t < taps; ++t) {
+        wv[t * L + l] = weights[(c0 + l) * taps + t];
+      }
+      lane_bias[l] = bias != nullptr ? bias[c0 + l] : 0.0F;
+    }
+    const __m128 b = _mm_load_ps(lane_bias);
 
-        const auto checked = [&](std::size_t ox) {
-          const std::ptrdiff_t ix0 =
-              static_cast<std::ptrdiff_t>(ox * g.stride) -
-              static_cast<std::ptrdiff_t>(g.padding);
-          float acc = b;
-          for (std::size_t ky = ky_lo; ky < ky_hi; ++ky) {
-            const float* srow =
-                src + (static_cast<std::size_t>(iy0) + ky) * g.width;
-            const float* wrow = wch + ky * g.kernel;
-            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
-              const std::ptrdiff_t ix = ix0 + static_cast<std::ptrdiff_t>(kx);
-              if (ix < 0 || ix >= w) continue;
-              acc += wrow[kx] * srow[static_cast<std::size_t>(ix)];
-            }
-          }
-          drow[ox] = clamp ? std::min(std::max(acc, act_lo), act_hi) : acc;
-        };
-
-        for (std::size_t ox = 0; ox < ox_lo; ++ox) checked(ox);
-        if (g.stride == 1 && ox_hi > ox_lo) {
-          // Tap loop: each of the K*K weights does one vector FMA along
-          // the contiguous output row instead of a scalar stencil per
-          // pixel.
-          const std::size_t len = ox_hi - ox_lo;
-          float* seg = drow + ox_lo;
-          for (std::size_t t = 0; t < len; ++t) seg[t] = b;
-          const std::size_t base = ox_lo - g.padding;  // >= 0 by ox_lo
-          for (std::size_t ky = ky_lo; ky < ky_hi; ++ky) {
-            const float* srow =
-                src + (static_cast<std::size_t>(iy0) + ky) * g.width + base;
-            const float* wrow = wch + ky * g.kernel;
-            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
-              const float wv = wrow[kx];
-              const float* sp = srow + kx;
-#pragma omp simd
-              for (std::size_t t = 0; t < len; ++t) seg[t] += wv * sp[t];
-            }
-          }
-          if (clamp) {
-            for (std::size_t t = 0; t < len; ++t) {
-              seg[t] = std::min(std::max(seg[t], act_lo), act_hi);
-            }
-          }
-        } else {
-          for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) {
-            const std::size_t ix0 = ox * g.stride - g.padding;
-            float acc = b;
-            for (std::size_t ky = ky_lo; ky < ky_hi; ++ky) {
-              const float* srow =
-                  src + (static_cast<std::size_t>(iy0) + ky) * g.width + ix0;
-              const float* wrow = wch + ky * g.kernel;
-              for (std::size_t kx = 0; kx < g.kernel; ++kx) {
-                acc += wrow[kx] * srow[kx];
-              }
-            }
-            drow[ox] = clamp ? std::min(std::max(acc, act_lo), act_hi) : acc;
+    for (std::size_t smp = 0; smp < n; ++smp) {
+      const float* src = input + (smp * channels + c0) * in_plane;
+      float* dst = out + (smp * channels + c0) * cols;
+      for (std::size_t y = 0; y < g.height; ++y) {
+        const float* srow = src + y * g.width;
+        float* drow = padded + ((y + p) * pw + p) * L;
+        std::size_t x = 0;
+        if (lanes == L) {
+          for (; x + 4 <= g.width; x += 4) {
+            __m128 r0 = _mm_loadu_ps(srow + x);
+            __m128 r1 = _mm_loadu_ps(srow + in_plane + x);
+            __m128 r2 = _mm_loadu_ps(srow + 2 * in_plane + x);
+            __m128 r3 = _mm_loadu_ps(srow + 3 * in_plane + x);
+            _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+            _mm_storeu_ps(drow + x * L, r0);
+            _mm_storeu_ps(drow + (x + 1) * L, r1);
+            _mm_storeu_ps(drow + (x + 2) * L, r2);
+            _mm_storeu_ps(drow + (x + 3) * L, r3);
           }
         }
-        for (std::size_t ox = std::max(ox_lo, ox_hi); ox < out_w; ++ox) {
-          checked(ox);
+        for (; x < g.width; ++x) {
+          for (std::size_t l = 0; l < lanes; ++l) {
+            drow[x * L + l] = srow[l * in_plane + x];
+          }
+        }
+      }
+
+      // Outputs in plane order, four at a time; a short last step repeats
+      // its final output in the spare chains and stores only the real ones.
+      std::size_t oy = 0;
+      std::size_t ox = 0;
+      for (std::size_t o = 0; o < cols; o += 4) {
+        const std::size_t count = std::min<std::size_t>(4, cols - o);
+        const float* at[4];
+        for (std::size_t j = 0; j < 4; ++j) {
+          at[j] = padded + (oy * s * pw + ox * s) * L;
+          if (j + 1 < count && ++ox == out_w) {
+            ox = 0;
+            ++oy;
+          }
+        }
+        if (++ox == out_w) {
+          ox = 0;
+          ++oy;
+        }
+        __m128 acc[4] = {b, b, b, b};
+        const float* w = wv;
+        for (std::size_t ky = 0; ky < k; ++ky) {
+          const std::size_t row = ky * pw * L;
+          for (std::size_t kx = 0; kx < k; ++kx, w += L) {
+            const __m128 wt = _mm_loadu_ps(w);
+            const std::size_t off = row + kx * L;
+            for (std::size_t j = 0; j < 4; ++j) {
+              acc[j] =
+                  _mm_add_ps(acc[j], _mm_mul_ps(wt, _mm_loadu_ps(at[j] + off)));
+            }
+          }
+        }
+        for (std::size_t j = 0; j < 4; ++j) {
+          acc[j] = _mm_min_ps(hi, _mm_max_ps(lo, acc[j]));
+        }
+        // Lane l of output j is channel c0 + l: transpose back to planes.
+        _MM_TRANSPOSE4_PS(acc[0], acc[1], acc[2], acc[3]);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          float* plane_out = dst + l * cols + o;
+          if (count == 4) {
+            _mm_storeu_ps(plane_out, acc[l]);
+          } else {
+            alignas(16) float part[4];
+            _mm_store_ps(part, acc[l]);
+            std::copy(part, part + count, plane_out);
+          }
         }
       }
     }
@@ -222,8 +240,8 @@ tensor conv2d::forward_inference(const tensor& input,
 
   // Depthwise: direct stencil, no lowering at all.
   if (ic_per_group == 1 && oc_per_group == 1) {
-    depthwise_direct(g, in_channels_, input.data(), weight_.value.data(), pb,
-                     act_lo_, act_hi_, n, out.data());
+    depthwise_conv(g, in_channels_, input.data(), weight_.value.data(), pb,
+                   act_lo_, act_hi_, n, out.data(), ws);
     return out;
   }
 

@@ -13,15 +13,16 @@ namespace appeal::quant {
 namespace {
 
 /// Quantizes a row-major [rows x cols] weight matrix to per-row symmetric
-/// s8 grids. Fills codes and the combined epilogue vectors; returns the
-/// whole-tensor RMS distortion (the autotuner's sensitivity signal).
+/// s8 grids and packs the codes for the GEMM. Fills the combined epilogue
+/// vectors; returns the whole-tensor RMS distortion (the autotuner's
+/// sensitivity signal).
 double quantize_weight_rows(const float* w, std::size_t rows,
                             std::size_t cols, int bits,
                             const nn::quant_params& act,
-                            std::vector<std::int8_t>& codes,
+                            ops::packed_s8& packed,
                             std::vector<float>& scale,
                             std::vector<std::int32_t>& row_offset) {
-  codes.resize(rows * cols);
+  std::vector<std::int8_t> codes(rows * cols);
   scale.resize(rows);
   row_offset.resize(rows);
   double total_sq = 0.0;
@@ -43,6 +44,7 @@ double quantize_weight_rows(const float* w, std::size_t rows,
     scale[r] = p.scale * act.scale;
     row_offset[r] = -act.zero_point * row_sum;
   }
+  packed = ops::packed_s8(codes.data(), rows, cols);
   return std::sqrt(total_sq / static_cast<double>(rows * cols));
 }
 
@@ -69,10 +71,12 @@ qconv2d::qconv2d(nn::conv2d& source, const qlayer_params& params)
   APPEAL_CHECK(source.groups() == 1,
                "qconv2d: only dense (groups == 1) convolutions quantize; "
                "depthwise/grouped layers stay float");
+  const float zero = 0.0F;
+  ops::quantize_u8(&zero, 1, act_.scale, act_.zero_point, &pad_code_);
   const std::size_t patch = in_channels_ * kernel_ * kernel_;
   weight_rmse_ =
       quantize_weight_rows(source.weight().value.data(), out_channels_, patch,
-                           bits_, act_, codes_, scale_, row_offset_);
+                           bits_, act_, weights_, scale_, row_offset_);
   if (source.has_bias()) {
     const float* b = source.bias().value.data();
     bias_.assign(b, b + out_channels_);
@@ -111,49 +115,29 @@ tensor qconv2d::forward(const tensor& input, bool training) {
   epi.act_lo = act_lo_;
   epi.act_hi = act_hi_;
 
+  // Quantize the input once, then lower the u8 codes side by side into
+  // one [patch x batch_cols] panel, padding with the code of 0.0.
+  nn::inference_workspace::buffer qin =
+      ws.borrow(bytes_as_floats(n * in_channels_ * in_plane));
+  ops::quantize_u8(input.data(), n * in_channels_ * in_plane, act_.scale,
+                   act_.zero_point, as_bytes(qin));
   nn::inference_workspace::buffer qbuf =
       ws.borrow(bytes_as_floats(patch * batch_cols));
-  if (kernel_ == 1 && stride_ == 1 && padding_ == 0) {
-    // Pointwise conv (the bulk of MobileNet's dense MACs): im2col of a
-    // 1x1 kernel is a pure batch interleave, so quantize the input tensor
-    // ONCE in place of the lowered panel and interleave the u8 codes —
-    // a quarter of the float im2col's memory traffic, and the codes are
-    // identical to what the lowered path would produce.
-    nn::inference_workspace::buffer qin =
-        ws.borrow(bytes_as_floats(n * in_channels_ * in_plane));
-    ops::quantize_u8(input.data(), n * in_channels_ * in_plane, act_.scale,
-                     act_.zero_point, as_bytes(qin));
-    for (std::size_t kk = 0; kk < in_channels_; ++kk) {
-      std::uint8_t* dst = as_bytes(qbuf) + kk * batch_cols;
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::uint8_t* src =
-            as_bytes(qin) + (s * in_channels_ + kk) * in_plane;
-        std::copy(src, src + in_plane, dst + s * in_plane);
-      }
-    }
-  } else {
-    // Lower in float (the existing strided im2col), then quantize the
-    // whole [patch x batch_cols] panel to u8 in one vectorizable pass.
-    nn::inference_workspace::buffer columns = ws.borrow(patch * batch_cols);
-    for (std::size_t s = 0; s < n; ++s) {
-      const float* sample = input.data() + s * in_channels_ * in_plane;
-      ops::im2col_strided(g, sample, columns.data() + s * cols, batch_cols);
-    }
-    ops::quantize_u8(columns.data(), patch * batch_cols, act_.scale,
-                     act_.zero_point, as_bytes(qbuf));
+  for (std::size_t s = 0; s < n; ++s) {
+    ops::im2col_strided(g, as_bytes(qin) + s * in_channels_ * in_plane,
+                        as_bytes(qbuf) + s * cols, batch_cols, pad_code_);
   }
   const ops::u8_view b{as_bytes(qbuf), batch_cols, 1};
 
   if (n == 1) {
     // Single sample: the [oc, cols] product IS the NCHW layout.
-    ops::qgemm_s8u8(out_channels_, cols, patch, codes_.data(), b, epi,
-                    out.data(), cols, 1);
+    ops::qgemm_s8u8(weights_, cols, b, epi, out.data(), cols, 1);
     return out;
   }
   nn::inference_workspace::buffer staged =
       ws.borrow(out_channels_ * batch_cols);
-  ops::qgemm_s8u8(out_channels_, batch_cols, patch, codes_.data(), b, epi,
-                  staged.data(), batch_cols, 1);
+  ops::qgemm_s8u8(weights_, batch_cols, b, epi, staged.data(), batch_cols,
+                  1);
   for (std::size_t c = 0; c < out_channels_; ++c) {
     const float* src = staged.data() + c * batch_cols;
     for (std::size_t s = 0; s < n; ++s) {
@@ -203,7 +187,7 @@ qlinear::qlinear(nn::linear& source, const qlayer_params& params)
       act_(params.act) {
   weight_rmse_ =
       quantize_weight_rows(source.weight().value.data(), out_features_,
-                           in_features_, bits_, act_, codes_, scale_,
+                           in_features_, bits_, act_, weights_, scale_,
                            row_offset_);
   if (source.has_bias()) {
     const float* b = source.bias().value.data();
@@ -235,8 +219,7 @@ tensor qlinear::forward(const tensor& input, bool training) {
   // C[out, N] = W[out, in] x^T — B is the transposed view of the quantized
   // row-major x, and the strided store writes y[N, out] directly.
   const ops::u8_view b{as_bytes(qbuf), 1, in_features_};
-  ops::qgemm_s8u8(out_features_, n, in_features_, codes_.data(), b, epi,
-                  out.data(), 1, out_features_);
+  ops::qgemm_s8u8(weights_, n, b, epi, out.data(), 1, out_features_);
   return out;
 }
 

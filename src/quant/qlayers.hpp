@@ -3,14 +3,19 @@
 // qconv2d and qlinear are deployment-time REPLACEMENTS for prepared
 // (batchnorm-folded, activation-fused) nn::conv2d / nn::linear layers:
 // weights are frozen to symmetric per-output-channel s8 grids at
-// construction, activations quantize per-tensor to an asymmetric u8 grid
-// calibrated from sample data, and the matrix product runs on the
-// tensor/gemm_s8 kernel with the requantize + bias + clamp epilogue fused
-// into the store pass. Outputs stay float, so quantized and float layers
-// mix freely inside one network.
+// construction and packed once into the GEMM's panel layout, activations
+// quantize per-tensor to an asymmetric u8 grid calibrated from sample
+// data, and the matrix product runs on the tensor/gemm_s8 kernel with the
+// requantize + bias + clamp epilogue fused into the store pass. Outputs
+// stay float, so quantized and float layers mix freely inside one network.
+//
+// qconv2d quantizes its input tensor once and lowers the u8 codes, with
+// the code of 0.0 (the activation zero point) as the padding value — the
+// same codes a float lowering followed by quantization would produce,
+// since quantization is elementwise.
 //
 // Both layers are inference-only (backward throws), allocation-free on
-// the warm path (im2col panels, u8 staging, and outputs come from the
+// the warm path (u8 staging, im2col panels, and outputs come from the
 // thread's nn::inference_workspace), and carry enough metadata
 // (bit-width, quantization RMSE) for the bit-width autotuner to rank
 // layer sensitivity.
@@ -23,6 +28,7 @@
 #include "nn/layer.hpp"
 #include "nn/linear.hpp"
 #include "nn/quantization.hpp"
+#include "tensor/gemm_s8.hpp"
 #include "tensor/im2col.hpp"
 
 namespace appeal::quant {
@@ -64,7 +70,8 @@ class qconv2d : public nn::layer {
   nn::quant_params act_;
   float act_lo_;
   float act_hi_;
-  std::vector<std::int8_t> codes_;       // [oc, patch]
+  std::uint8_t pad_code_;                // u8 code of 0.0 on the act grid
+  ops::packed_s8 weights_;               // s8 codes [oc, patch], packed
   std::vector<float> scale_;             // w_scale[c] * act.scale
   std::vector<std::int32_t> row_offset_; // -act.zero_point * row_sum(codes)
   std::vector<float> bias_;              // empty when the conv had none
@@ -92,7 +99,7 @@ class qlinear : public nn::layer {
   int bits_;
   double weight_rmse_ = 0.0;
   nn::quant_params act_;
-  std::vector<std::int8_t> codes_;       // [out, in]
+  ops::packed_s8 weights_;               // s8 codes [out, in], packed
   std::vector<float> scale_;
   std::vector<std::int32_t> row_offset_;
   std::vector<float> bias_;

@@ -4,14 +4,21 @@
 // following the same GotoBLAS-style packing contract as the float kernel
 // (gemm.cpp): A is packed into MR-row panels, B into NR-column panels, and
 // a register-tiled microkernel runs the inner loop. Both panels interleave
-// k in PAIRS sized for the baseline-x86 pairwise i16 dot-product
-// instruction (pmaddwd — two k steps per lane per instruction); B codes
-// are widened u8 -> i16 at pack time, A stores each k-pair of a row as one
-// broadcastable i32. Unlike the float kernel there is no KC blocking:
-// the int32 accumulator tile must survive the whole k extent (the
-// requantize epilogue applies exactly once), and at one byte per element
-// a full-k panel pair (MR*k + NR*k bytes) stays cache-resident for every
-// geometry the model zoo produces.
+// k in PAIRS sized for the pairwise i16 dot-product instruction (pmaddwd:
+// two k steps per lane per instruction); B codes are widened u8 -> i16 at
+// pack time, A stores each k-pair of a row as one broadcastable i32.
+// Unlike the float kernel there is no KC blocking: the int32 accumulator
+// tile must survive the whole k extent (the requantize epilogue applies
+// exactly once), and at one byte per element a full-k panel pair
+// (MR*k + NR*k bytes) stays cache-resident for every geometry the model
+// zoo produces.
+//
+// Weights are constant, so A is packed ONCE into a packed_s8 (the layout
+// stays private to gemm_s8.cpp) and every call packs only B. The
+// microkernel is chosen once per process: an AVX2 kernel when the CPU has
+// it (one packed B k-pair — 8 columns x 2 i16 — is exactly one 256-bit
+// register), else the baseline SSE2 kernel. Both run the same integer
+// arithmetic on the same panels, so every kernel produces identical bits.
 //
 // Quantization scheme (the cloud/edge collaborative convention of
 // arXiv:1812.06426 and standard int8 deployments):
@@ -32,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace appeal::ops {
 
@@ -59,11 +67,38 @@ struct qgemm_epilogue {
   float act_hi = std::numeric_limits<float>::infinity();
 };
 
-/// C[m x n] = epilogue(A_s8[m x k] * B_u8[k x n]); A row-major and
-/// contiguous, B an arbitrary-stride view, C stored at
+namespace detail {
+struct packed_s8_access;
+}
+
+/// A row-major s8 matrix A[m x k] packed once into the kernel's panel
+/// layout. Opaque: only gemm_s8.cpp reads the panels.
+class packed_s8 {
+ public:
+  packed_s8() = default;
+  packed_s8(const std::int8_t* a, std::size_t m, std::size_t k);
+
+  std::size_t rows() const { return m_; }
+  std::size_t depth() const { return k_; }
+
+ private:
+  friend struct detail::packed_s8_access;
+  std::size_t m_ = 0;
+  std::size_t k_ = 0;
+  std::vector<std::int32_t> panels_;
+};
+
+/// C[m x n] = epilogue(A * B_u8[k x n]) with m = a.rows(), k = a.depth();
+/// B an arbitrary-stride view, C stored at
 /// c[i * c_row_stride + j * c_col_stride] (a transposed store writes the
 /// qlinear output [n x m] without a separate pass). C regions of distinct
 /// rows must not alias.
+void qgemm_s8u8(const packed_s8& a, std::size_t n, const u8_view& b,
+                const qgemm_epilogue& epi, float* c, std::size_t c_row_stride,
+                std::size_t c_col_stride);
+
+/// Same product for an unpacked row-major contiguous A[m x k]: packs A
+/// into thread-local scratch, then runs the packed path.
 void qgemm_s8u8(std::size_t m, std::size_t n, std::size_t k,
                 const std::int8_t* a, const u8_view& b,
                 const qgemm_epilogue& epi, float* c, std::size_t c_row_stride,

@@ -45,8 +45,12 @@ void im2col(const conv_geometry& g, const float* image, float* columns);
 /// side by side into one [patch_size, N * column_count] matrix — sample s
 /// passes `columns + s * column_count` with row_stride = N * column_count
 /// — so a convolution over the whole batch lowers to a single GEMM.
-void im2col_strided(const conv_geometry& g, const float* image,
-                    float* columns, std::size_t row_stride);
+/// Padding reads as `pad`. Instantiated for float (pad 0) and for the u8
+/// codes of a quantized image, whose padding is the code of 0.0 — the
+/// activation zero point.
+template <typename T>
+void im2col_strided(const conv_geometry& g, const T* image, T* columns,
+                    std::size_t row_stride, T pad = T{});
 
 /// Adjoint of im2col: accumulates `columns` back into `image_grad`
 /// ([C, H, W]); the caller must zero `image_grad` first if it wants a pure

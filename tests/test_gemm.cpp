@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_s8.hpp"
+#include "tensor/gemm_s8_kernels.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -420,6 +422,146 @@ TEST(qgemm, s8_row_sums_matches_manual) {
     std::int32_t expect = 0;
     for (std::size_t kk = 0; kk < k; ++kk) expect += a[i * k + kk];
     EXPECT_EQ(sums[i], expect);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Every microkernel this host can run, driven on pre-packed weights. The
+// SSE2 kernel is always listed, so it stays covered on AVX2 hosts too.
+
+/// A random requantize epilogue for m rows, with or without a fused clamp.
+struct random_epilogue {
+  std::vector<float> scale;
+  std::vector<float> bias;
+  std::vector<std::int32_t> offset;
+  ops::qgemm_epilogue epi;
+
+  random_epilogue(std::size_t m, appeal::util::rng& gen, bool clamp)
+      : scale(m), bias(m), offset(m) {
+    for (std::size_t i = 0; i < m; ++i) {
+      scale[i] = gen.uniform(1e-4F, 1e-2F);
+      bias[i] = gen.uniform(-1.0F, 1.0F);
+      offset[i] = gen.uniform_int(-20000, 20000);
+    }
+    epi.scale = scale.data();
+    epi.bias = bias.data();
+    epi.row_offset = offset.data();
+    if (clamp) {
+      epi.act_lo = 0.0F;
+      epi.act_hi = 6.0F;
+    }
+  }
+};
+
+/// Runs every host kernel on (packed A, B view) and requires equality with
+/// the scalar reference on every element, C stored at
+/// c[i * row_stride + j * col_stride].
+void expect_kernels_match_naive(const std::vector<std::int8_t>& a,
+                                std::size_t m, std::size_t n, std::size_t k,
+                                const ops::u8_view& b,
+                                const ops::qgemm_epilogue& epi,
+                                std::size_t row_stride,
+                                std::size_t col_stride) {
+  const ops::packed_s8 packed(a.data(), m, k);
+  std::vector<float> ref(m * n, -42.0F);
+  naive_qgemm(m, n, k, a.data(), b, epi, ref.data(), row_stride, col_stride);
+  for (const ops::detail::qgemm_kernel& kernel :
+       ops::detail::host_qgemm_kernels()) {
+    std::vector<float> c(m * n, -42.0F);
+    ops::detail::qgemm_s8u8_with(kernel, packed, n, b, epi, c.data(),
+                                 row_stride, col_stride);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(c[i], ref[i]) << kernel.name << " qgemm " << m << "x" << n
+                              << "x" << k << " element " << i;
+    }
+  }
+}
+
+TEST(qgemm_kernels, baseline_kernel_is_always_available) {
+  const auto& kernels = ops::detail::host_qgemm_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(std::string(kernels.front().name), "sse2");
+}
+
+// The served MobileNet's dense layers at every batch 1..16: the stem
+// (odd k = 27) and the three pointwise convs. At batch 1 every pointwise
+// product is exactly 32768 MACs.
+TEST(qgemm_kernels, served_shapes_match_naive) {
+  struct layer_shape {
+    std::size_t m, cols, k;
+  };
+  const layer_shape shapes[] = {
+      {16, 256, 27}, {32, 64, 16}, {64, 16, 32}, {128, 4, 64}};
+  appeal::util::rng gen(2105);
+  for (std::size_t batch = 1; batch <= 16; ++batch) {
+    for (const layer_shape& l : shapes) {
+      const std::size_t n = l.cols * batch;
+      const auto a = random_s8(l.m * l.k, gen);
+      const auto bbuf = random_u8(l.k * n, gen);
+      const random_epilogue e(l.m, gen, batch % 2 == 0);
+      expect_kernels_match_naive(a, l.m, n, l.k,
+                                 ops::u8_view{bbuf.data(), n, 1}, e.epi, n,
+                                 1);
+    }
+  }
+}
+
+// Ragged edges: m not a multiple of the 6-row tile, n not a multiple of
+// the 8-column panel (nor of the 2048-column block), odd and tiny k.
+TEST(qgemm_kernels, ragged_edges_match_naive) {
+  appeal::util::rng gen(426);
+  for (const std::size_t m : {1, 5, 7, 13, 121}) {
+    for (const std::size_t n : {1, 3, 9, 17, 2049}) {
+      for (const std::size_t k : {1, 2, 27, 33}) {
+        const auto a = random_s8(m * k, gen);
+        const auto bbuf = random_u8(k * n, gen);
+        const random_epilogue e(m, gen, (m + n + k) % 2 == 0);
+        expect_kernels_match_naive(a, m, n, k, ops::u8_view{bbuf.data(), n, 1},
+                                   e.epi, n, 1);
+      }
+    }
+  }
+}
+
+// The qlinear layout: B is the transposed view of a row-major [n x k]
+// block, C is stored transposed as [n x m].
+TEST(qgemm_kernels, transposed_view_matches_naive) {
+  appeal::util::rng gen(1812);
+  for (const std::size_t n : {1, 4, 11, 16}) {
+    const std::size_t m = 10;
+    const std::size_t k = 128;
+    const auto a = random_s8(m * k, gen);
+    const auto x = random_u8(n * k, gen);
+    const random_epilogue e(m, gen, false);
+    expect_kernels_match_naive(a, m, n, k, ops::u8_view{x.data(), 1, k},
+                               e.epi, 1, m);
+  }
+}
+
+// One packed weight serves calls of any width, in any order, and agrees
+// with the unpacked entry point.
+TEST(qgemm_kernels, packed_weights_reused_across_calls) {
+  appeal::util::rng gen(77);
+  const std::size_t m = 64;
+  const std::size_t k = 32;
+  const auto a = random_s8(m * k, gen);
+  const ops::packed_s8 packed(a.data(), m, k);
+  EXPECT_EQ(packed.rows(), m);
+  EXPECT_EQ(packed.depth(), k);
+  const random_epilogue e(m, gen, true);
+  for (const std::size_t n : {16, 1, 300, 64, 7, 16}) {
+    const auto bbuf = random_u8(k * n, gen);
+    const ops::u8_view b{bbuf.data(), n, 1};
+    std::vector<float> c(m * n, -1.0F);
+    std::vector<float> c_raw(m * n, -2.0F);
+    std::vector<float> ref(m * n, -3.0F);
+    ops::qgemm_s8u8(packed, n, b, e.epi, c.data(), n, 1);
+    ops::qgemm_s8u8(m, n, k, a.data(), b, e.epi, c_raw.data(), n, 1);
+    naive_qgemm(m, n, k, a.data(), b, e.epi, ref.data(), n, 1);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(c[i], ref[i]) << "packed n=" << n << " element " << i;
+      ASSERT_EQ(c_raw[i], ref[i]) << "raw n=" << n << " element " << i;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 // no-backward-caches contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/two_head_network.hpp"
@@ -14,6 +15,7 @@
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
+#include "quant/quantize.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -50,18 +52,40 @@ TEST(conv_fastpath, batched_inference_matches_training_forward) {
 }
 
 /// Depthwise runs a direct stencil in inference (no im2col); values match
-/// the training lowering up to summation-order rounding.
+/// the training lowering up to summation-order rounding. Covers strides 1
+/// and 2, every plane from 1x1 to 9x9, batch 1 and 4, a channel count
+/// that is not a multiple of the kernel's four-channel groups, and the
+/// fused clamp (which the training forward leaves out, so the reference
+/// clamps afterwards).
 TEST(conv_fastpath, depthwise_direct_matches_training_forward) {
-  nn::conv2d conv(16, 16, /*kernel=*/3, /*stride=*/2, /*padding=*/1,
-                  /*groups=*/16, /*bias=*/true);
-  appeal::util::rng gen(48);
-  nn::initialize_model(conv, gen);
-  const tensor x = random_input(shape{4, 16, 9, 9}, 49);
+  const std::size_t channels = 6;
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
+    for (std::size_t hw = 1; hw <= 9; ++hw) {
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+        for (const bool clamp : {false, true}) {
+          nn::conv2d conv(channels, channels, /*kernel=*/3, stride,
+                          /*padding=*/1, /*groups=*/channels, /*bias=*/true);
+          appeal::util::rng gen(48 + hw);
+          nn::initialize_model(conv, gen);
+          conv.bias().value = random_input(shape{channels}, 50 + hw);
+          const tensor x = random_input(shape{batch, channels, hw, hw}, 49);
 
-  const tensor train_out = conv.forward(x, /*training=*/true);
-  const tensor infer_out = conv.forward(x, /*training=*/false);
-  EXPECT_EQ(train_out.dims(), infer_out.dims());
-  EXPECT_LE(ops::max_abs_diff(train_out, infer_out), 1e-6F);
+          tensor train_out = conv.forward(x, /*training=*/true);
+          if (clamp) {
+            conv.fuse_activation(0.0F, 0.5F);
+            for (std::size_t i = 0; i < train_out.size(); ++i) {
+              train_out[i] = std::min(std::max(train_out[i], 0.0F), 0.5F);
+            }
+          }
+          const tensor infer_out = conv.forward(x, /*training=*/false);
+          ASSERT_EQ(train_out.dims(), infer_out.dims());
+          EXPECT_LE(ops::max_abs_diff(train_out, infer_out), 1e-6F)
+              << "stride " << stride << " plane " << hw << " batch " << batch
+              << " clamp " << clamp;
+        }
+      }
+    }
+  }
 }
 
 TEST(conv_fastpath, inference_forward_clears_backward_cache) {
@@ -104,6 +128,29 @@ TEST(workspace, steady_state_inference_allocates_nothing) {
   EXPECT_EQ(after.allocations, warm_allocations)
       << "steady-state inference hit the heap";
   EXPECT_GT(after.reuses, 0U);
+  ws.clear();
+
+  // The served int8 edge network: quantized dense layers (u8 staging,
+  // lowered panels, packed-GEMM outputs) and the float depthwise scratch
+  // all come from the same arena.
+  appeal::core::two_head_config cfg;
+  cfg.spec.family = appeal::models::model_family::mobilenet;
+  cfg.spec.image_size = 16;
+  cfg.spec.num_classes = 10;
+  appeal::core::two_head_network edge(cfg);
+  appeal::quant::quantize_two_head(
+      edge, random_input(shape{16, 3, 16, 16}, 46));
+  const tensor images = random_input(shape{4, 3, 16, 16}, 47);
+  auto serve = [&] {
+    appeal::core::two_head_output out = edge.forward(images, false);
+    ws.recycle(std::move(out.logits));
+    ws.recycle(std::move(out.q_logits));
+  };
+  serve();
+  const std::size_t int8_warm = ws.stats().allocations;
+  for (int i = 0; i < 5; ++i) serve();
+  EXPECT_EQ(ws.stats().allocations, int8_warm)
+      << "steady-state int8 inference hit the heap";
   ws.clear();
 }
 

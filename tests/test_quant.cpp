@@ -26,6 +26,8 @@
 #include "quant/quantize.hpp"
 #include "quant/recalibrate.hpp"
 #include "serve/server.hpp"
+#include "tensor/gemm_s8.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -131,6 +133,112 @@ TEST(quant, qconv2d_tracks_float_conv) {
   // multiple of the activation step (~0.0078).
   EXPECT_LT(ops::max_abs_diff(quantized, reference), 0.1F);
   EXPECT_EQ(q.output_shape(x.dims()), reference.dims());
+}
+
+namespace {
+
+/// qconv2d computed the long way: float im2col of the whole batch, the
+/// lowered panel quantized with ops::quantize_u8, then a scalar s8 x u8
+/// product with the same requantize epilogue, scattered to NCHW. The
+/// deployed layer quantizes first and lowers u8 codes; both must agree on
+/// every bit.
+tensor reference_qconv(nn::conv2d& source, const quant::qlayer_params& params,
+                       const tensor& x) {
+  ops::conv_geometry g;
+  g.channels = source.in_channels();
+  g.height = x.height();
+  g.width = x.width();
+  g.kernel = source.kernel();
+  g.stride = source.stride();
+  g.padding = source.padding();
+  const std::size_t n = x.batch();
+  const std::size_t oc = source.out_channels();
+  const std::size_t cols = g.column_count();
+  const std::size_t patch = g.patch_size();
+  const std::size_t batch_cols = n * cols;
+  const std::size_t in_sample = g.channels * g.height * g.width;
+
+  std::vector<float> panel(patch * batch_cols);
+  for (std::size_t s = 0; s < n; ++s) {
+    ops::im2col_strided(g, x.data() + s * in_sample, panel.data() + s * cols,
+                        batch_cols);
+  }
+  std::vector<std::uint8_t> codes(panel.size());
+  ops::quantize_u8(panel.data(), panel.size(), params.act.scale,
+                   params.act.zero_point, codes.data());
+
+  tensor out(shape{n, oc, g.out_height(), g.out_width()});
+  for (std::size_t r = 0; r < oc; ++r) {
+    const float* wrow = source.weight().value.data() + r * patch;
+    const nn::quant_params wp = nn::choose_quant_params(
+        std::span<const float>(wrow, patch), params.weight_bits,
+        /*symmetric=*/true);
+    const float w_inv = 1.0F / wp.scale;
+    std::vector<std::int32_t> wq(patch);
+    std::int32_t row_sum = 0;
+    for (std::size_t i = 0; i < patch; ++i) {
+      wq[i] = std::clamp(
+          static_cast<std::int32_t>(std::lround(wrow[i] * w_inv)), wp.q_min(),
+          wp.q_max());
+      row_sum += wq[i];
+    }
+    const float scale = wp.scale * params.act.scale;
+    const std::int32_t offset = -params.act.zero_point * row_sum;
+    const float bias = source.has_bias() ? source.bias().value[r] : 0.0F;
+    for (std::size_t j = 0; j < batch_cols; ++j) {
+      std::int32_t acc = 0;
+      for (std::size_t i = 0; i < patch; ++i) {
+        acc += wq[i] * static_cast<std::int32_t>(codes[i * batch_cols + j]);
+      }
+      float v = scale * static_cast<float>(acc + offset) + bias;
+      v = std::min(std::max(v, source.fused_act_lo()), source.fused_act_hi());
+      out[((j / cols) * oc + r) * cols + j % cols] = v;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+// Quantize-once lowering: u8 codes lowered with the zero point as padding
+// equal the codes of the float-lowered panel, so qconv2d matches the long
+// way bit for bit — 3x3 at stride 1 and 2 with padding, and 1x1, at batch
+// 1 and 5, on a centred activation grid and on one whose zero point is 0.
+TEST(quant, qconv2d_u8_lowering_matches_float_lowering_bit_for_bit) {
+  struct conv_case {
+    std::size_t kernel, stride, padding;
+  };
+  const conv_case cases[] = {{3, 1, 1}, {3, 2, 1}, {1, 1, 0}};
+  appeal::util::rng gen(2021);
+  for (const conv_case& cc : cases) {
+    for (const std::size_t n : {1, 5}) {
+      for (const bool relu_input : {false, true}) {
+        nn::conv2d source(6, 10, cc.kernel, cc.stride, cc.padding,
+                          /*groups=*/1, /*bias=*/true);
+        for (nn::parameter* p : source.parameters()) {
+          p->value = tensor::rand_uniform(p->value.dims(), gen, -0.5F, 0.5F);
+        }
+        if (relu_input) source.fuse_activation(0.0F, 6.0F);
+        const float lo = relu_input ? 0.0F : -1.0F;
+        const tensor x =
+            tensor::rand_uniform(shape{n, 6, 7, 9}, gen, lo, 1.0F);
+
+        quant::qlayer_params params;
+        const float span[2] = {lo, 1.0F};
+        params.act = nn::choose_quant_params(std::span<const float>(span, 2),
+                                             8, /*symmetric=*/false);
+        quant::qconv2d q(source, params);
+        const tensor got = q.forward(x, /*training=*/false);
+        const tensor want = reference_qconv(source, params, x);
+        ASSERT_EQ(got.dims(), want.dims());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], want[i])
+              << "k=" << cc.kernel << " s=" << cc.stride << " n=" << n
+              << " zp=" << params.act.zero_point << " element " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(quant, quantize_two_head_rewrites_dense_layers_only) {
