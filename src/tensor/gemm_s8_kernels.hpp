@@ -1,5 +1,5 @@
 // Internal to the quantized GEMM: the microkernels behind qgemm_s8u8 and
-// a driver that takes one explicitly. Production code calls qgemm_s8u8,
+// an entry point that takes one explicitly. Production code calls qgemm_s8u8,
 // which runs the kernel selected once per process; tests include this
 // header to check every kernel the host can execute against the same
 // reference, so the SSE2 kernel stays covered on AVX2 hosts too.
