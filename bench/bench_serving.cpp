@@ -378,6 +378,7 @@ serve::admission_policy parse_admission(const std::string& name) {
 
 void append_run_json(std::FILE* f, const char* mode, const run_result& r,
                      bool last) {
+  const serve::link_counters& link = r.stats.link;
   std::fprintf(
       f,
       "    {\"mode\": \"%s\", \"throughput_rps\": %.3f, \"p50_ms\": %.4f,"
@@ -400,15 +401,14 @@ void append_run_json(std::FILE* f, const char* mode, const run_result& r,
       r.stats.p99_ms, r.stats.achieved_sr, r.stats.online_accuracy,
       r.stats.shed_rate, r.stats.shed, r.stats.expired, r.stats.cloud_expired,
       r.stats.overflow, r.delta, r.measured_seconds, r.stats.cloud_accuracy,
-      r.stats.cloud_labeled, r.stats.mean_cloud_ms, r.stats.appeal_batches,
-      r.stats.appeals_on_wire, r.stats.mean_appeals_per_batch,
-      r.stats.wire_bytes_tx, r.stats.wire_bytes_rx, r.stats.link_fallbacks,
+      r.stats.cloud_labeled, r.stats.mean_cloud_ms, link.wire.batches_sent,
+      link.wire.appeals_sent, link.wire.mean_appeals_per_batch(),
+      link.wire.bytes_sent, link.wire.bytes_received, link.local_fallbacks,
       r.stats.submitted, r.stats.completed, r.stats.edge_kept,
-      r.stats.edge_degraded, r.stats.appealed, r.stats.appeal_retries,
-      r.stats.appeal_overloaded, r.stats.breaker_opens,
-      static_cast<unsigned>(r.stats.breaker_state), r.stats.split_appeals,
-      r.stats.split_bytes_saved, r.stats.split_rejected, r.stats.split_cut,
-      last ? "" : ",");
+      r.stats.edge_degraded, r.stats.appealed, link.retries, link.overloaded,
+      link.breaker_opens, static_cast<unsigned>(link.breaker),
+      link.split_appeals, link.split_bytes_saved, link.split_rejected,
+      link.split_cut, last ? "" : ",");
 }
 
 }  // namespace

@@ -21,70 +21,122 @@ double gauge::from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
 
 // --- histogram --------------------------------------------------------------
 
-histogram::histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins) {
-  APPEAL_CHECK(hi > lo, "histogram range must be non-empty");
-  APPEAL_CHECK(bins > 0, "histogram needs at least one bin");
-  inv_width_ = static_cast<double>(bins) / (hi - lo);
-  shards_.reserve(kMetricShards);
-  for (std::size_t i = 0; i < kMetricShards; ++i) {
-    shards_.push_back(std::make_unique<shard>(bins));
+namespace {
+/// Width of the linear buckets below 2^kMinExp (= the sub-bucket width of
+/// the first octave, so bucket edges run contiguously into the log range).
+constexpr double kLinearWidth =
+    1.0 / static_cast<double>(std::uint64_t{1} << (histogram::kSubBits -
+                                                   histogram::kMinExp));
+constexpr double kLowEdge = kLinearWidth * histogram::kSubBuckets;
+constexpr double kHighEdge =
+    static_cast<double>(std::uint64_t{1} << histogram::kMaxExp);
+}  // namespace
+
+std::size_t histogram::bucket_of(double value) {
+  if (!(value < kHighEdge)) return kBuckets - 1;  // overflow and NaN
+  if (value < kLowEdge) {
+    return value > 0.0 ? static_cast<std::size_t>(value / kLinearWidth) : 0;
   }
+  // value = 1.m * 2^e with e in [kMinExp, kMaxExp): the exponent picks
+  // the octave, the top kSubBits mantissa bits the sub-bucket.
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+  const int exponent = static_cast<int>((bits >> 52) & 0x7FF) - 1023;
+  const std::size_t sub = (bits >> (52 - kSubBits)) & (kSubBuckets - 1);
+  return static_cast<std::size_t>(exponent - kMinExp + 1) * kSubBuckets + sub;
+}
+
+double histogram::bucket_lower(std::size_t bucket) {
+  if (bucket < kSubBuckets) return static_cast<double>(bucket) * kLinearWidth;
+  const int exponent = static_cast<int>(bucket / kSubBuckets) - 1 + kMinExp;
+  const double sub = static_cast<double>(bucket % kSubBuckets);
+  return std::ldexp(1.0 + sub / kSubBuckets, exponent);
+}
+
+double histogram::bucket_upper(std::size_t bucket) {
+  return bucket + 1 < kBuckets ? bucket_lower(bucket + 1) : kHighEdge;
 }
 
 void histogram::observe(double value) {
-  shard& s = *shards_[shard_index()];
-  std::size_t bin = 0;
+  shard& s = shards_[shard_index()];
+  s.counts[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+  s.total.fetch_add(1, std::memory_order_relaxed);
   if (std::isnan(value)) {
-    // NaN would index nowhere; treat it as overflow so it stays visible.
-    bin = bins_ - 1;
+    // NaN would index nowhere; it sits in the top bucket as overflow so
+    // it stays visible, and stays out of the sum.
     s.overflow.fetch_add(1, std::memory_order_relaxed);
-  } else if (value >= hi_) {
-    bin = bins_ - 1;
-    s.overflow.fetch_add(1, std::memory_order_relaxed);
-  } else if (value > lo_) {
-    bin = std::min(bins_ - 1,
-                   static_cast<std::size_t>((value - lo_) * inv_width_));
+    return;
   }
-  s.counts[bin].fetch_add(1, std::memory_order_relaxed);
-  if (!std::isnan(value)) {
-    std::uint64_t expected = s.sum_bits.load(std::memory_order_relaxed);
-    std::uint64_t desired;
-    do {
-      desired = std::bit_cast<std::uint64_t>(std::bit_cast<double>(expected) +
-                                             value);
-    } while (!s.sum_bits.compare_exchange_weak(expected, desired,
-                                               std::memory_order_relaxed));
+  if (value >= kHighEdge) s.overflow.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t expected = s.sum_bits.load(std::memory_order_relaxed);
+  std::uint64_t desired;
+  do {
+    desired =
+        std::bit_cast<std::uint64_t>(std::bit_cast<double>(expected) + value);
+  } while (!s.sum_bits.compare_exchange_weak(expected, desired,
+                                             std::memory_order_relaxed));
+}
+
+histogram::totals histogram::read_totals() const {
+  totals out;
+  for (const shard& s : shards_) {
+    out.total += s.total.load(std::memory_order_relaxed);
+    out.overflow += s.overflow.load(std::memory_order_relaxed);
+    out.sum += std::bit_cast<double>(s.sum_bits.load(std::memory_order_relaxed));
   }
+  return out;
+}
+
+histogram::totals histogram::totals::since(const totals& baseline) const {
+  totals d = *this;
+  d.total -= baseline.total;
+  d.overflow -= baseline.overflow;
+  d.sum -= baseline.sum;
+  return d;
 }
 
 histogram::snapshot_data histogram::snapshot() const {
   snapshot_data out;
-  out.lo = lo_;
-  out.hi = hi_;
-  out.counts.assign(bins_, 0);
-  for (const auto& s : shards_) {
-    for (std::size_t i = 0; i < bins_; ++i) {
-      out.counts[i] += s->counts[i].load(std::memory_order_relaxed);
+  out.counts.assign(kBuckets, 0);
+  for (const shard& s : shards_) {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      out.counts[i] += s.counts[i].load(std::memory_order_relaxed);
     }
-    out.overflow += s->overflow.load(std::memory_order_relaxed);
-    out.sum += std::bit_cast<double>(s->sum_bits.load(std::memory_order_relaxed));
+    out.overflow += s.overflow.load(std::memory_order_relaxed);
+    out.sum += std::bit_cast<double>(s.sum_bits.load(std::memory_order_relaxed));
   }
+  // The total is re-derived from the buckets read here, so a snapshot
+  // taken under concurrent observes stays self-consistent for quantile().
   for (const std::uint64_t c : out.counts) out.total += c;
   return out;
+}
+
+histogram::snapshot_data histogram::snapshot_data::since(
+    const snapshot_data& baseline) const {
+  snapshot_data d;
+  static_cast<totals&>(d) = totals::since(baseline);
+  d.counts = counts;
+  for (std::size_t i = 0; i < d.counts.size() && i < baseline.counts.size();
+       ++i) {
+    d.counts[i] -= baseline.counts[i];
+  }
+  return d;
 }
 
 double histogram::snapshot_data::quantile(double q) const {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  const double width = (hi - lo) / static_cast<double>(counts.size());
-  double cumulative = 0.0;
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
+  std::uint64_t cumulative = 0;
+  std::size_t bucket = counts.size() - 1;
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    cumulative += static_cast<double>(counts[i]);
-    if (cumulative >= target) return lo + (static_cast<double>(i) + 0.5) * width;
+    cumulative += counts[i];
+    if (cumulative >= rank) {
+      bucket = i;
+      break;
+    }
   }
-  return lo + (static_cast<double>(counts.size()) - 0.5) * width;
+  return 0.5 * (bucket_lower(bucket) + bucket_upper(bucket));
 }
 
 // --- registry ---------------------------------------------------------------
@@ -169,16 +221,13 @@ gauge& metrics_registry::get_gauge(const std::string& name, label_set labels,
 }
 
 histogram& metrics_registry::get_histogram(const std::string& name,
-                                           label_set labels, double lo,
-                                           double hi, std::size_t bins,
+                                           label_set labels,
                                            const std::string& help) {
   const label_set norm = normalized(std::move(labels));
   std::lock_guard<std::mutex> lock(mutex_);
   if (entry* e = find_locked(name, norm)) {
     APPEAL_CHECK(e->type == kind::histogram,
                  "metric '" + name + "' already registered with another type");
-    APPEAL_CHECK(e->h->lo() == lo && e->h->hi() == hi && e->h->bins() == bins,
-                 "metric '" + name + "' re-registered with different binning");
     return *e->h;
   }
   auto e = std::make_unique<entry>();
@@ -186,7 +235,7 @@ histogram& metrics_registry::get_histogram(const std::string& name,
   e->name = name;
   e->labels = norm;
   e->help = help;
-  e->h = std::make_unique<histogram>(lo, hi, bins);
+  e->h = std::make_unique<histogram>();
   histogram& out = *e->h;
   entries_.push_back(std::move(e));
   return out;

@@ -1,4 +1,4 @@
-// Lock-cheap metrics registry: named counters, gauges, and fixed-bin
+// Lock-cheap metrics registry: named counters, gauges, and log-linear
 // histograms with label sets, shared by every stage of the serving path.
 //
 // Design: an instrument is found-or-created once (one mutex hit, at
@@ -89,73 +89,87 @@ class gauge {
   std::atomic<std::uint64_t> bits_{0};
 };
 
-/// Fixed-bin histogram over [lo, hi). Values below lo clamp into bin 0;
-/// values at or above hi clamp into the top bin AND count in overflow,
-/// so a too-narrow range is visible instead of silently flattening the
-/// tail (same contract as serve_stats' latency histogram). observe() is
+/// Log-linear (HDR-style) histogram with one fixed layout: 32
+/// sub-buckets per power of two from 2^-10 to 2^20, plus 32 linear
+/// buckets of the same width below 2^-10. Above 2^-10 a bucket's
+/// midpoint is within 1/64 of every value in it, so every quantile read
+/// from the bucket CDF is within 1/64 of the exact sample quantile — for
+/// milliseconds, from about 1 µs to 17 minutes. Negative values clamp into bucket 0; values
+/// at or above 2^20 and NaN clamp into the top bucket AND count in
+/// overflow, so an out-of-range tail stays visible. observe() is
 /// wait-free on the caller's shard.
 class histogram {
  public:
-  histogram(double lo, double hi, std::size_t bins);
+  static constexpr int kSubBits = 5;  // 32 sub-buckets per octave
+  static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBits;
+  static constexpr int kMinExp = -10;  // log-linear range [2^-10, 2^20)
+  static constexpr int kMaxExp = 20;
+  static constexpr std::size_t kBuckets =
+      kSubBuckets * static_cast<std::size_t>(kMaxExp - kMinExp + 1);
 
   void observe(double value);
 
-  struct snapshot_data {
-    double lo = 0.0;
-    double hi = 0.0;
-    std::vector<std::uint64_t> counts;
+  /// Everything but the buckets: enough for a mean.
+  struct totals {
     std::uint64_t total = 0;
-    std::uint64_t overflow = 0;  // observations clamped into the top bin
+    std::uint64_t overflow = 0;  // observations clamped into the top bucket
     double sum = 0.0;            // of the raw (unclamped) values
 
-    /// Quantile by bin-center CDF walk; 0 when empty. q outside [0, 1]
-    /// clamps.
-    double quantile(double q) const;
     double mean() const {
       return total == 0 ? 0.0 : sum / static_cast<double>(total);
     }
+    /// Observations made after `baseline` was taken (same instrument).
+    totals since(const totals& baseline) const;
+  };
+  /// Reads one cache line per shard instead of every bucket — what a
+  /// caller that only needs means should take (the bucket layout is
+  /// 0.12 MB).
+  totals read_totals() const;
+
+  struct snapshot_data : totals {
+    std::vector<std::uint64_t> counts;  // kBuckets entries
+
+    /// Midpoint of the bucket holding the ceil(q * total)-th smallest
+    /// observation; 0 when empty. q outside [0, 1] clamps.
+    double quantile(double q) const;
+    snapshot_data since(const snapshot_data& baseline) const;
   };
   snapshot_data snapshot() const;
 
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t bins() const { return bins_; }
+  /// Bucket index of `value` and the [lower, upper) edges of a bucket.
+  static std::size_t bucket_of(double value);
+  static double bucket_lower(std::size_t bucket);
+  static double bucket_upper(std::size_t bucket);
 
  private:
-  struct shard {
-    std::vector<std::atomic<std::uint64_t>> counts;
+  struct alignas(64) shard {
+    std::atomic<std::uint64_t> counts[kBuckets];
+    // One cache line (counts spans whole lines): what read_totals() reads.
+    std::atomic<std::uint64_t> total{0};
     std::atomic<std::uint64_t> overflow{0};
-    /// Sum as double bits, CAS-accumulated (cold relative to counts).
+    /// Sum as double bits, CAS-accumulated.
     std::atomic<std::uint64_t> sum_bits{0};
-    explicit shard(std::size_t bins) : counts(bins) {}
   };
 
-  double lo_;
-  double hi_;
-  std::size_t bins_;
-  double inv_width_;
-  std::vector<std::unique_ptr<shard>> shards_;
+  shard shards_[kMetricShards];
 };
 
 /// The registry: find-or-create instruments by (name, labels). Returned
 /// references stay valid for the registry's lifetime (instruments are
 /// heap-allocated and never erased). Re-requesting an existing name with
-/// the same labels returns the same instrument; a histogram re-request
-/// with different binning throws (two writers disagreeing about bins is
-/// a bug, not a merge).
+/// the same labels returns the same instrument.
 class metrics_registry {
  public:
   counter& get_counter(const std::string& name, label_set labels = {},
                        const std::string& help = "");
   gauge& get_gauge(const std::string& name, label_set labels = {},
                    const std::string& help = "");
-  histogram& get_histogram(const std::string& name, label_set labels, double lo,
-                           double hi, std::size_t bins,
+  histogram& get_histogram(const std::string& name, label_set labels = {},
                            const std::string& help = "");
 
   /// Prometheus text exposition (text/plain; version=0.0.4): counters and
   /// gauges verbatim; histograms as summaries (quantile labels + _sum +
-  /// _count) so a scrape stays small regardless of bin count.
+  /// _count) so a scrape stays small regardless of bucket count.
   std::string render_prometheus() const;
 
   /// One JSON object: {"name{labels}": value | {histogram fields}}.

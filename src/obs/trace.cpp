@@ -52,8 +52,7 @@ std::unique_ptr<trace_span> trace_sampler::sample(
 trace_collector::trace_collector(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void trace_collector::attach_registry(metrics_registry* reg, double hi_ms,
-                                      std::size_t bins) {
+void trace_collector::attach_registry(metrics_registry* reg) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (reg == nullptr) {
     stage_hist_.fill(nullptr);
@@ -62,11 +61,11 @@ void trace_collector::attach_registry(metrics_registry* reg, double hi_ms,
   }
   for (std::size_t i = 0; i < kNumStages; ++i) {
     stage_hist_[i] = &reg->get_histogram(
-        "appeal_stage_ms", {{"stage", stage_name(static_cast<stage>(i))}}, 0.0,
-        hi_ms, bins, "per-stage latency from sampled trace spans");
+        "appeal_stage_ms", {{"stage", stage_name(static_cast<stage>(i))}},
+        "per-stage latency from sampled trace spans");
   }
   total_hist_ =
-      &reg->get_histogram("appeal_trace_total_ms", {}, 0.0, hi_ms, bins,
+      &reg->get_histogram("appeal_trace_total_ms", {},
                           "end-to-end latency of sampled trace spans");
 }
 

@@ -10,8 +10,8 @@
 //   decide          forward done -> δ decision applied (complete/appeal)
 //   appeal_coalesce channel enqueue -> the coalesced batch is framed
 //   wire_tx         frame handed to the transport -> send returns
-//   cloud_queue     cloud work-queue wait   (cloud-stamped, wire v3)
-//   cloud_score     cloud batched scoring   (cloud-stamped, wire v3)
+//   cloud_queue     cloud work-queue wait   (cloud-stamped)
+//   cloud_score     cloud batched scoring   (cloud-stamped)
 //   wire_rx         the remainder of the link round trip (response
 //                   receive side; computed as the link window minus
 //                   tx and the cloud-stamped stages, clamped at 0)
@@ -20,7 +20,7 @@
 //                   of the stages above)
 //
 // Edge-kept requests stamp only the first four stages + complete. The
-// cloud stages come from cloud-side timestamps carried back in wire-v3
+// cloud stages come from cloud-side timestamps carried back in wire
 // response records — durations, not absolute times, so no cross-process
 // clock sync is assumed; if the two clocks disagree badly the stage sum
 // stops reconciling with the measured end-to-end latency, which is
@@ -113,8 +113,7 @@ class trace_collector {
   /// Routes per-stage durations into `reg` as appeal_stage_ms{stage=...}
   /// summaries plus appeal_trace_total_ms. Call once, before traffic;
   /// nullptr detaches.
-  void attach_registry(metrics_registry* reg, double hi_ms = 500.0,
-                       std::size_t bins = 1000);
+  void attach_registry(metrics_registry* reg);
 
   void record(trace_span&& span);
 

@@ -17,11 +17,8 @@ obs::counter& flush_counter(const char* reason) {
 batcher::batcher(request_queue& queue, const batch_policy& policy)
     : queue_(queue),
       policy_(policy),
-      // Fixed binning (1 request per bin) so every batcher, whatever its
-      // max_batch_size, shares one instrument; larger batches clamp.
       metric_batch_size_(obs::default_registry().get_histogram(
-          "appeal_batch_size", {}, 0.0, 256.0, 256,
-          "requests per emitted batch")),
+          "appeal_batch_size", {}, "requests per emitted batch")),
       metric_flush_full_(flush_counter("full")),
       metric_flush_timeout_(flush_counter("timeout")),
       metric_flush_closed_(flush_counter("closed")) {

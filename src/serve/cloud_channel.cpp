@@ -695,7 +695,7 @@ std::uint32_t cloud_channel::choose_cut_locked() {
                        full_flops / flops_per_ms + cloud_wait_ema_ms_;
     for (const split_cut_spec& c : config_.split.cuts) {
       if (cut_rejected_[c.id - 1]) continue;
-      // +4: the cut_id u32 the v5 record adds to the frame.
+      // +4: the cut_id u32 a split record adds to the frame.
       const double cost =
           uplink_ms(static_cast<double>(c.wire_bytes) + 4.0) +
           static_cast<double>(c.suffix_flops) / flops_per_ms +

@@ -18,7 +18,7 @@
 //
 // Failure handling is a three-state circuit breaker, not a one-way
 // fallback:
-//   - an `overloaded` answer (wire v4 backpressure) is retried after a
+//   - an `overloaded` answer (cloud backpressure) is retried after a
 //     jittered exponential backoff that honors the cloud's retry-after
 //     hint, up to link_config::max_retries; exhausted (or deadline-dead)
 //     retries complete from the local fallback backend;
@@ -42,7 +42,7 @@
 // `fixed` mode pins the cut; `auto` picks per batch from the paper's
 // cost model extended with the measured link bandwidth (EMA of encoded
 // bytes per send-occupancy ms) and the cloud's reported queue wait. A
-// `rejected` answer (wire v5: the peer's model lacks the cut) completes
+// `rejected` answer (the peer's model lacks the cut) completes
 // locally and blacklists that cut for the rest of the run.
 #pragma once
 
@@ -65,7 +65,6 @@
 #include "obs/metrics.hpp"
 #include "serve/backends.hpp"
 #include "serve/request.hpp"
-#include "serve/serve_stats.hpp"
 #include "serve/transport/cloud_transport.hpp"
 #include "util/rng.hpp"
 
@@ -77,64 +76,6 @@ enum class breaker_state : std::uint8_t { closed = 0, open = 1, half_open = 2 };
 
 const char* breaker_state_name(breaker_state s);
 
-/// Link-level statistics the serving stats report alongside the
-/// per-request counters.
-struct link_counters {
-  transport_counters wire;        // batches, appeals, bytes on the wire
-  std::size_t completed = 0;      // appeals answered (any path)
-  std::size_t local_fallbacks = 0;  // answered locally (link down/overloaded)
-  std::size_t retries = 0;        // overloaded appeals re-sent after backoff
-  std::size_t overloaded = 0;     // overloaded answers received
-  std::size_t breaker_opens = 0;  // breaker closed -> open transitions
-  std::size_t split_appeals = 0;  // appeals shipped as feature maps
-  std::size_t split_bytes_saved = 0;  // uplink bytes saved vs raw input
-  std::size_t split_rejected = 0;     // split appeals the cloud rejected
-  /// Breaker state at capture time (a state, not a counter: since()
-  /// keeps the current value rather than differencing it).
-  std::uint8_t breaker = 0;
-  /// Active split cut at capture time (a state like `breaker`).
-  std::uint32_t split_cut = 0;
-
-  /// Counters accumulated since `baseline` was captured (how
-  /// engine/deployment::reset_stats keeps the wire statistics aligned
-  /// with the post-warmup measurement window).
-  link_counters since(const link_counters& baseline) const {
-    link_counters d = *this;
-    d.wire.batches_sent -= baseline.wire.batches_sent;
-    d.wire.appeals_sent -= baseline.wire.appeals_sent;
-    d.wire.bytes_sent -= baseline.wire.bytes_sent;
-    d.wire.bytes_received -= baseline.wire.bytes_received;
-    d.completed -= baseline.completed;
-    d.local_fallbacks -= baseline.local_fallbacks;
-    d.retries -= baseline.retries;
-    d.overloaded -= baseline.overloaded;
-    d.breaker_opens -= baseline.breaker_opens;
-    d.split_appeals -= baseline.split_appeals;
-    d.split_bytes_saved -= baseline.split_bytes_saved;
-    d.split_rejected -= baseline.split_rejected;
-    return d;
-  }
-};
-
-/// Overlays the channel's wire counters onto a stats snapshot (called by
-/// engine::snapshot / deployment::snapshot).
-inline void apply_link_counters(stats_snapshot& s, const link_counters& c) {
-  s.appeal_batches = c.wire.batches_sent;
-  s.appeals_on_wire = c.wire.appeals_sent;
-  s.mean_appeals_per_batch = c.wire.mean_appeals_per_batch();
-  s.wire_bytes_tx = c.wire.bytes_sent;
-  s.wire_bytes_rx = c.wire.bytes_received;
-  s.link_fallbacks = c.local_fallbacks;
-  s.appeal_retries = c.retries;
-  s.appeal_overloaded = c.overloaded;
-  s.breaker_opens = c.breaker_opens;
-  s.breaker_state = c.breaker;
-  s.split_appeals = c.split_appeals;
-  s.split_bytes_saved = c.split_bytes_saved;
-  s.split_rejected = c.split_rejected;
-  s.split_cut = c.split_cut;
-}
-
 /// What came back for one appeal. `expired` means the cloud shed the
 /// appeal because its deadline was blown before a scorer reached it —
 /// `prediction` is meaningless and the caller should surface
@@ -145,8 +86,8 @@ struct appeal_outcome {
   std::size_t prediction = 0;
   double link_ms = 0.0;   // batched -> completed, client clock
   double cloud_ms = 0.0;  // cloud-reported queue wait + scoring time
-  /// The cloud_ms total split into queue wait and batched scoring (wire
-  /// v3 peers only; 0 otherwise). Feeds the trace spans' cloud stages.
+  /// The cloud_ms total split into queue wait and batched scoring (0
+  /// under the simulator). Feeds the trace spans' cloud stages.
   double cloud_queue_ms = 0.0;
   double cloud_score_ms = 0.0;
   bool expired = false;

@@ -86,10 +86,10 @@ deployment::deployment(std::string name, const deployment_config& cfg,
     : name_(std::move(name)),
       config_(validated(cfg)),
       cloud_(cloud ? cloud() : nullptr),
-      stats_(labeled_stats(cfg.shard.stats, name_)),
-      controller_(cfg.shard.threshold, &config_.shard.link),
       channel_(require_cloud(cloud_), config_.shard.link,
-               config_.shard.channel, name_) {
+               config_.shard.channel, name_),
+      stats_(labeled_stats(cfg.shard.stats, name_), &channel_),
+      controller_(cfg.shard.threshold, &config_.shard.link) {
   APPEAL_CHECK(edge != nullptr, "deployment needs an edge backend factory");
   // Every deployment exports the bit-width of its edge path, so a scrape
   // can tell a quantized deployment from a float one at a glance.
@@ -124,12 +124,6 @@ deployment::deployment(std::string name, const deployment_config& cfg,
 }
 
 deployment::~deployment() { shutdown(); }
-
-stats_snapshot deployment::snapshot() const {
-  stats_snapshot s = stats_.snapshot();
-  apply_link_counters(s, channel_.counters().since(link_baseline_));
-  return s;
-}
 
 std::size_t deployment::shard_for_key(std::uint64_t key) const {
   // Well-mixed stable hash so consecutive keys spread across shards

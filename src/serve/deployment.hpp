@@ -107,13 +107,9 @@ class deployment {
 
   /// Per-deployment aggregated statistics (all shards record here).
   const serve_stats& stats() const { return stats_; }
-  /// Snapshot with the shared cloud link's wire counters overlaid
-  /// (counted from the last reset_stats(), like every other statistic).
-  stats_snapshot snapshot() const;
-  void reset_stats() {
-    stats_.reset();
-    link_baseline_ = channel_.counters();
-  }
+  /// Snapshot since the last reset_stats(), shared cloud link included.
+  stats_snapshot snapshot() const { return stats_.snapshot(); }
+  void reset_stats() { stats_.reset(); }
 
   /// The deployment's one uplink (appeals from every shard coalesce on
   /// it).
@@ -131,12 +127,9 @@ class deployment {
   std::string name_;
   deployment_config config_;
   std::unique_ptr<cloud_backend> cloud_;
-  serve_stats stats_;
-  threshold_controller controller_;
   cloud_channel channel_;
-  /// Channel counters at the last reset_stats(); snapshot() reports the
-  /// delta so wire statistics cover the same window as everything else.
-  link_counters link_baseline_;
+  serve_stats stats_;  // windows channel_'s counters too
+  threshold_controller controller_;
   std::vector<std::unique_ptr<engine>> engines_;
 };
 

@@ -131,20 +131,20 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
       edge_backends_(resolve_edge_backends(res.shared_edge, owned_edge_,
                                            cfg.num_workers)),
       queue_(cfg.queue_capacity),
+      owned_channel_(resolve_channel(res, owned_cloud_.get(), config_)),
+      channel_(res.shared_channel != nullptr ? res.shared_channel
+                                             : owned_channel_.get()),
       owned_controller_(res.shared_controller != nullptr
                             ? nullptr
                             : std::make_unique<threshold_controller>(
                                   cfg.threshold, &config_.link)),
       owned_stats_(res.shared_stats != nullptr
                        ? nullptr
-                       : std::make_unique<serve_stats>(cfg.stats)),
-      owned_channel_(resolve_channel(res, owned_cloud_.get(), config_)),
+                       : std::make_unique<serve_stats>(cfg.stats, channel_)),
       controller_(res.shared_controller != nullptr ? res.shared_controller
                                                    : owned_controller_.get()),
       stats_(res.shared_stats != nullptr ? res.shared_stats
                                          : owned_stats_.get()),
-      channel_(res.shared_channel != nullptr ? res.shared_channel
-                                             : owned_channel_.get()),
       admission_(cfg.admission),
       cloud_node_(cfg.stats.deployment, *channel_, *controller_, cfg.shard_id,
                   cfg.pipeline.appeal_queue_depth, completion()),
@@ -205,12 +205,6 @@ std::future<response> engine::submit(inference_request&& req) {
     drained_.notify_all();
   }
   throw util::error("submit() on a shut-down engine");
-}
-
-stats_snapshot engine::snapshot() const {
-  stats_snapshot s = stats_->snapshot();
-  apply_link_counters(s, channel_->counters().since(link_baseline_));
-  return s;
 }
 
 void engine::drain() {

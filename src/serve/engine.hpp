@@ -189,9 +189,9 @@ class engine {
 
   const serve_stats& stats() const { return *stats_; }
 
-  /// Stats snapshot with the cloud link's wire counters overlaid (bytes,
-  /// batches, appeals/batch, local fallbacks).
-  stats_snapshot snapshot() const;
+  /// The stats sink's snapshot (the deployment-wide one in shard mode),
+  /// cloud-link counters included.
+  stats_snapshot snapshot() const { return stats_->snapshot(); }
 
   /// Per-node conservation ledgers (in/out/egress per pipeline stage),
   /// in topological order. Once drained: in == out + egress at every
@@ -204,14 +204,11 @@ class engine {
   /// the engine belongs to a deployment).
   const cloud_channel& channel() const { return *channel_; }
 
-  /// Discards all stats so far (counters, latency histogram, clock, and
-  /// the snapshot's wire-counter window) — call after a warmup phase,
-  /// with no requests in flight, to open a clean measurement window.
-  /// The threshold controller keeps its state.
-  void reset_stats() {
-    stats_->reset();
-    link_baseline_ = channel_->counters();
-  }
+  /// Opens a new stats window (counters, latency buckets, clock, and the
+  /// cloud-link counters together) — call after a warmup phase, with no
+  /// requests in flight. In shard mode this resets the deployment-wide
+  /// sink. The threshold controller keeps its state.
+  void reset_stats() { stats_->reset(); }
   threshold_controller& controller() { return *controller_; }
   const admission_controller& admission() const { return admission_; }
   const engine_config& config() const { return config_; }
@@ -230,15 +227,12 @@ class engine {
   std::unique_ptr<cloud_backend> owned_cloud_;
   std::vector<edge_backend*> edge_backends_;
   request_queue queue_;
+  std::unique_ptr<cloud_channel> owned_channel_;
+  cloud_channel* channel_;
   std::unique_ptr<threshold_controller> owned_controller_;
   std::unique_ptr<serve_stats> owned_stats_;
-  std::unique_ptr<cloud_channel> owned_channel_;
   threshold_controller* controller_;
   serve_stats* stats_;
-  cloud_channel* channel_;
-  /// Channel counters at the last reset_stats(); snapshot() reports the
-  /// delta so wire statistics cover the same window as everything else.
-  link_counters link_baseline_;
   admission_controller admission_;
 
   std::atomic<std::uint64_t> next_id_{0};

@@ -1,8 +1,10 @@
 #include "serve/serve_stats.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
-#include "util/error.hpp"
+#include "serve/cloud_channel.hpp"
 
 namespace appeal::serve {
 
@@ -13,172 +15,174 @@ obs::label_set deployment_labels(const std::string& deployment) {
   return {{"deployment", deployment}};
 }
 
-}  // namespace
+struct instrument {
+  const char* name;
+  const char* help;
+};
 
-serve_stats::serve_stats(const serve_stats_config& cfg)
-    : config_(cfg),
-      latency_(0.0, cfg.latency_range_ms, cfg.latency_bins),
-      metric_submitted_(obs::default_registry().get_counter(
-          "appeal_requests_total", deployment_labels(cfg.deployment),
-          "requests that entered submit() and have completed (any status)")),
-      metric_completed_(obs::default_registry().get_counter(
-          "appeal_completed_total", deployment_labels(cfg.deployment),
-          "requests that produced a prediction")),
-      metric_edge_(obs::default_registry().get_counter(
-          "appeal_edge_total", deployment_labels(cfg.deployment),
-          "requests answered on the edge (score >= delta or degraded)")),
-      metric_appealed_(obs::default_registry().get_counter(
-          "appeal_appealed_total", deployment_labels(cfg.deployment),
-          "requests appealed to the cloud")),
-      metric_shed_(obs::default_registry().get_counter(
-          "appeal_shed_total", deployment_labels(cfg.deployment),
-          "requests refused at admission")),
-      metric_expired_(obs::default_registry().get_counter(
-          "appeal_expired_total", deployment_labels(cfg.deployment),
-          "requests whose deadline passed before an edge worker")),
-      metric_cloud_expired_(obs::default_registry().get_counter(
-          "appeal_cloud_expired_requests_total",
-          deployment_labels(cfg.deployment),
-          "appealed requests shed in the cloud's work queue")),
-      metric_latency_(obs::default_registry().get_histogram(
-          "appeal_latency_ms", deployment_labels(cfg.deployment), 0.0,
-          cfg.latency_range_ms, cfg.latency_bins,
-          "end-to-end latency of completed requests")) {
-  APPEAL_CHECK(cfg.latency_range_ms > 0.0, "latency range must be positive");
+// Indexed by serve_stats' counter_id / mean_id.
+constexpr instrument kCounterSpecs[] = {
+    {"appeal_requests_total",
+     "requests that entered submit() and have completed (any status)"},
+    {"appeal_completed_total", "requests that produced a prediction"},
+    {"appeal_edge_total",
+     "requests answered on the edge (score >= delta or degraded)"},
+    {"appeal_edge_degraded_total",
+     "requests pinned to the edge by admission (degraded)"},
+    {"appeal_appealed_total", "requests appealed to the cloud"},
+    {"appeal_shed_total", "requests refused at admission"},
+    {"appeal_expired_total",
+     "requests whose deadline passed before an edge worker"},
+    {"appeal_cloud_expired_requests_total",
+     "appealed requests shed in the cloud's work queue"},
+    {"appeal_labeled_total", "completed requests that carried a label"},
+    {"appeal_labeled_correct_total",
+     "labeled requests answered correctly"},
+    {"appeal_cloud_labeled_total", "appealed requests that carried a label"},
+    {"appeal_cloud_labeled_correct_total",
+     "labeled appealed requests answered correctly"},
+};
+constexpr instrument kLatencySpec = {
+    "appeal_latency_ms", "end-to-end latency of completed requests"};
+constexpr instrument kMeanSpecs[] = {
+    {"appeal_queue_wait_ms",
+     "enqueue -> batch pull wait of completed requests"},
+    {"appeal_link_ms", "uplink + cloud time of appealed requests"},
+    {"appeal_cloud_ms",
+     "cloud-reported queue wait + scoring time of appealed requests"},
+};
+
+double ratio(std::size_t num, std::size_t den) {
+  return den == 0 ? 0.0
+                  : static_cast<double>(num) / static_cast<double>(den);
 }
 
-void serve_stats::record(const response& r, bool labeled, bool correct) {
-  metric_submitted_.add(1);
-  std::lock_guard<std::mutex> lock(mutex_);
+}  // namespace
+
+serve_stats::serve_stats(const serve_stats_config& cfg,
+                         const cloud_channel* link)
+    : link_(link) {
+  static_assert(std::size(kCounterSpecs) == kCounters);
+  static_assert(std::size(kMeanSpecs) == kMeans);
+  const obs::label_set labels = deployment_labels(cfg.deployment);
+  obs::metrics_registry& reg = obs::default_registry();
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    counters_[i] =
+        &reg.get_counter(kCounterSpecs[i].name, labels, kCounterSpecs[i].help);
+  }
+  latency_ = &reg.get_histogram(kLatencySpec.name, labels, kLatencySpec.help);
+  for (std::size_t i = 0; i < kMeans; ++i) {
+    means_[i] =
+        &reg.get_histogram(kMeanSpecs[i].name, labels, kMeanSpecs[i].help);
+  }
+  baseline_ = read();
+}
+
+void serve_stats::record(const response& r, bool is_labeled,
+                         bool is_correct) {
+  bump(kRequests);
   if (r.status == request_status::shed) {
-    ++shed_;
-    metric_shed_.add(1);
+    bump(kShed);
     return;
   }
   if (r.status == request_status::expired) {
     // route::cloud means the request DID appeal and the cloud's scheduler
     // shed it (deadline blown in its work queue) — count it apart from
     // edge-side expiry so deadline pressure on the link is visible.
-    if (r.taken == route::cloud) {
-      ++cloud_expired_;
-      metric_cloud_expired_.add(1);
-    } else {
-      ++expired_;
-      metric_expired_.add(1);
-    }
+    bump(r.taken == route::cloud ? kCloudExpired : kExpired);
     return;
   }
-  ++completed_;
-  metric_completed_.add(1);
+  bump(kCompleted);
   switch (r.taken) {
     case route::edge:
-      ++edge_kept_;
-      metric_edge_.add(1);
+      bump(kEdge);
       break;
     case route::edge_degraded:
-      ++edge_degraded_;
-      metric_edge_.add(1);
+      bump(kEdge);
+      bump(kEdgeDegraded);
       break;
     case route::cloud:
-      ++appealed_;
-      metric_appealed_.add(1);
-      link_ms_sum_ += r.link_ms;
-      cloud_ms_sum_ += r.cloud_ms;
-      if (labeled) {
-        ++cloud_labeled_;
-        if (correct) ++cloud_labeled_correct_;
+      bump(kAppealed);
+      means_[kLinkTime]->observe(r.link_ms);
+      means_[kCloudTime]->observe(r.cloud_ms);
+      if (is_labeled) {
+        bump(kCloudLabeled);
+        if (is_correct) bump(kCloudLabeledCorrect);
       }
       break;
   }
-  if (labeled) {
-    ++labeled_;
-    if (correct) ++labeled_correct_;
+  if (is_labeled) {
+    bump(kLabeled);
+    if (is_correct) bump(kLabeledCorrect);
   }
-  queue_ms_sum_ += r.queue_ms;
-  if (r.latency_ms >= config_.latency_range_ms) ++overflow_;
-  latency_.add(r.latency_ms);
-  metric_latency_.observe(r.latency_ms);
+  means_[kQueueWait]->observe(r.queue_ms);
+  latency_->observe(r.latency_ms);
+}
+
+serve_stats::reading serve_stats::read() const {
+  reading out;
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    out.counts[i] = counters_[i]->value();
+  }
+  out.latency = latency_->snapshot();
+  for (std::size_t i = 0; i < kMeans; ++i) {
+    out.means[i] = means_[i]->read_totals();
+  }
+  if (link_ != nullptr) out.link = link_->counters();
+  return out;
 }
 
 void serve_stats::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  latency_ = util::histogram(0.0, config_.latency_range_ms,
-                             config_.latency_bins);
-  completed_ = 0;
-  edge_kept_ = 0;
-  edge_degraded_ = 0;
-  appealed_ = 0;
-  shed_ = 0;
-  expired_ = 0;
-  cloud_expired_ = 0;
-  overflow_ = 0;
-  labeled_ = 0;
-  labeled_correct_ = 0;
-  cloud_labeled_ = 0;
-  cloud_labeled_correct_ = 0;
-  queue_ms_sum_ = 0.0;
-  link_ms_sum_ = 0.0;
-  cloud_ms_sum_ = 0.0;
+  baseline_ = read();
   clock_.reset();
-}
-
-double serve_stats::quantile_ms_locked(double q) const {
-  const auto& counts = latency_.counts();
-  const std::size_t total = latency_.total();
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    cumulative += static_cast<double>(counts[i]);
-    if (cumulative >= target) return latency_.bin_center(i);
-  }
-  return latency_.bin_center(counts.size() - 1);
 }
 
 stats_snapshot serve_stats::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  const reading now = read();
+  const auto count = [&](counter_id c) {
+    return static_cast<std::size_t>(now.counts[c] - baseline_.counts[c]);
+  };
+  const auto mean = [&](mean_id m) {
+    return now.means[m].since(baseline_.means[m]).mean();
+  };
   stats_snapshot s;
-  s.completed = completed_;
-  s.edge_kept = edge_kept_;
-  s.edge_degraded = edge_degraded_;
-  s.appealed = appealed_;
-  s.shed = shed_;
-  s.expired = expired_;
-  s.cloud_expired = cloud_expired_;
-  s.overflow = overflow_;
-  s.labeled = labeled_;
-  s.labeled_correct = labeled_correct_;
-  s.cloud_labeled = cloud_labeled_;
-  s.cloud_labeled_correct = cloud_labeled_correct_;
-  s.submitted = completed_ + shed_ + expired_ + cloud_expired_;
+  // Counters are read one by one while requests complete; derive the
+  // totals from their parts so a live snapshot still adds up.
+  const std::size_t edge_total = count(kEdge);
+  s.edge_degraded = std::min(count(kEdgeDegraded), edge_total);
+  s.edge_kept = edge_total - s.edge_degraded;
+  s.appealed = count(kAppealed);
+  s.completed = edge_total + s.appealed;
+  s.shed = count(kShed);
+  s.expired = count(kExpired);
+  s.cloud_expired = count(kCloudExpired);
+  s.submitted = s.completed + s.shed + s.expired + s.cloud_expired;
+  s.labeled = count(kLabeled);
+  s.labeled_correct = count(kLabeledCorrect);
+  s.cloud_labeled = count(kCloudLabeled);
+  s.cloud_labeled_correct = count(kCloudLabeledCorrect);
+
   s.elapsed_seconds = clock_.elapsed_seconds();
   if (s.elapsed_seconds > 0.0) {
-    s.throughput_rps = static_cast<double>(completed_) / s.elapsed_seconds;
+    s.throughput_rps = static_cast<double>(s.completed) / s.elapsed_seconds;
   }
-  if (completed_ > 0) {
-    s.achieved_sr = static_cast<double>(edge_kept_ + edge_degraded_) /
-                    static_cast<double>(completed_);
-    s.mean_queue_ms = queue_ms_sum_ / static_cast<double>(completed_);
-  }
-  if (s.submitted > 0) {
-    s.shed_rate = static_cast<double>(shed_ + expired_ + cloud_expired_) /
-                  static_cast<double>(s.submitted);
-  }
-  if (labeled_ > 0) {
-    s.online_accuracy =
-        static_cast<double>(labeled_correct_) / static_cast<double>(labeled_);
-  }
-  if (cloud_labeled_ > 0) {
-    s.cloud_accuracy = static_cast<double>(cloud_labeled_correct_) /
-                       static_cast<double>(cloud_labeled_);
-  }
-  if (appealed_ > 0) {
-    s.mean_link_ms = link_ms_sum_ / static_cast<double>(appealed_);
-    s.mean_cloud_ms = cloud_ms_sum_ / static_cast<double>(appealed_);
-  }
-  s.p50_ms = quantile_ms_locked(0.50);
-  s.p95_ms = quantile_ms_locked(0.95);
-  s.p99_ms = quantile_ms_locked(0.99);
+  s.achieved_sr = ratio(edge_total, s.completed);
+  s.shed_rate = ratio(s.shed + s.expired + s.cloud_expired, s.submitted);
+  s.online_accuracy = ratio(s.labeled_correct, s.labeled);
+  s.cloud_accuracy = ratio(s.cloud_labeled_correct, s.cloud_labeled);
+
+  const obs::histogram::snapshot_data latency =
+      now.latency.since(baseline_.latency);
+  s.overflow = static_cast<std::size_t>(latency.overflow);
+  s.p50_ms = latency.quantile(0.50);
+  s.p95_ms = latency.quantile(0.95);
+  s.p99_ms = latency.quantile(0.99);
+  s.mean_queue_ms = mean(kQueueWait);
+  s.mean_link_ms = mean(kLinkTime);
+  s.mean_cloud_ms = mean(kCloudTime);
+  s.link = now.link.since(baseline_.link);
   return s;
 }
 
@@ -207,25 +211,24 @@ std::string serve_stats::render(const stats_snapshot& s) {
                   s.cloud_accuracy * 100.0, s.cloud_labeled);
     out += buf;
   }
-  if (s.appeal_batches > 0 || s.link_fallbacks > 0) {
+  const link_counters& l = s.link;
+  if (l.wire.batches_sent > 0 || l.local_fallbacks > 0) {
     std::snprintf(
         buf, sizeof(buf),
         "cloud link       : %zu appeals in %zu batches "
         "(%.2f appeals/batch), %zu B up / %zu B down, mean cloud %.3f ms, "
         "%zu local fallbacks\n",
-        s.appeals_on_wire, s.appeal_batches, s.mean_appeals_per_batch,
-        s.wire_bytes_tx, s.wire_bytes_rx, s.mean_cloud_ms, s.link_fallbacks);
+        l.wire.appeals_sent, l.wire.batches_sent,
+        l.wire.mean_appeals_per_batch(), l.wire.bytes_sent,
+        l.wire.bytes_received, s.mean_cloud_ms, l.local_fallbacks);
     out += buf;
   }
-  if (s.appeal_overloaded > 0 || s.appeal_retries > 0 || s.breaker_opens > 0) {
-    static const char* kBreakerNames[] = {"closed", "open", "half-open"};
-    const char* state =
-        s.breaker_state < 3 ? kBreakerNames[s.breaker_state] : "?";
+  if (l.overloaded > 0 || l.retries > 0 || l.breaker_opens > 0) {
     std::snprintf(buf, sizeof(buf),
                   "link robustness  : %zu overloaded answers, %zu retries, "
                   "%zu breaker opens (breaker %s)\n",
-                  s.appeal_overloaded, s.appeal_retries, s.breaker_opens,
-                  state);
+                  l.overloaded, l.retries, l.breaker_opens,
+                  breaker_state_name(static_cast<breaker_state>(l.breaker)));
     out += buf;
   }
   return out;

@@ -1,20 +1,30 @@
-// Streaming serving metrics.
+// Streaming serving metrics: one ledger, kept in the obs registry.
 //
-// Thread-safe accumulator fed by edge workers, the cloud channel, and the
-// admission path at request completion. One serve_stats instance serves
-// as the aggregation point for a whole deployment: every engine shard
-// records into the deployment's shared instance, so the snapshot is the
-// per-deployment view the server reports. Latency quantiles come from a
-// fixed-bin util::histogram (constant memory, p50/p95/p99 read from the
-// bin CDF); completions beyond the histogram range are clamped into the
-// top bin *and* counted in `overflow`, so a too-small `latency_range_ms`
-// is visible instead of silently flattening p99. Throughput uses the
-// shared util::stopwatch; online accuracy counts only requests that
-// carried ground-truth labels (the collab::oracle protocol supplies them
-// in evaluation runs). Shed and expired requests never ran inference:
-// they are counted apart and excluded from latency, SR, and accuracy.
+// Edge workers, the cloud channel, and the admission path record each
+// finished request here. record() bumps obs::default_registry()
+// instruments only — sharded wait-free counters and log-linear
+// summaries, no lock — and snapshot() reads those same instruments back,
+// minus a baseline taken at construction and at reset(). The baseline
+// also covers the deployment's cloud link (its link_counters), so
+// request counters, latency buckets, and wire counters always describe
+// one window. One serve_stats instance serves a whole deployment: every
+// engine shard records into the deployment's shared instance.
+//
+// Latency quantiles come from the log-linear obs::histogram (every
+// quantile within 1/64 of the exact sample quantile); observations past
+// its range (about 17 minutes) or NaN count in `overflow`. Throughput
+// uses the shared util::stopwatch; online accuracy counts only requests
+// that carried ground-truth labels (the collab::oracle protocol supplies
+// them in evaluation runs). Shed and expired requests never ran
+// inference: they are counted apart and excluded from latency, SR, and
+// accuracy.
+//
+// Instruments are keyed by {deployment=...}: two live instances with the
+// same label share them and read each other's events, exactly as a
+// Prometheus scrape of that label would.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -22,14 +32,14 @@
 
 #include "obs/metrics.hpp"
 #include "serve/request.hpp"
-#include "util/histogram.hpp"
+#include "serve/transport/cloud_transport.hpp"
 #include "util/timer.hpp"
 
 namespace appeal::serve {
 
+class cloud_channel;
+
 struct serve_stats_config {
-  double latency_range_ms = 500.0;  // histogram upper edge (overflow clamps)
-  std::size_t latency_bins = 5000;  // 0.1 ms resolution at the default range
   /// Value of the {deployment=...} label on this instance's instruments
   /// in obs::default_registry() (appeal_requests_total and friends, the
   /// appeal_latency_ms summary). Empty = unlabeled. Registry counters
@@ -38,7 +48,7 @@ struct serve_stats_config {
   std::string deployment;
 };
 
-/// Point-in-time view of the counters.
+/// Point-in-time view of the counters since the last reset().
 struct stats_snapshot {
   std::size_t completed = 0;     // requests that produced a prediction
   std::size_t edge_kept = 0;     // route::edge (score >= δ)
@@ -68,23 +78,10 @@ struct stats_snapshot {
   /// transports report it per response; 0 under the simulator).
   double mean_cloud_ms = 0.0;
 
-  // Cloud-link counters, overlaid from the deployment's cloud_channel at
-  // snapshot time (engine::snapshot / deployment::snapshot); a raw
-  // serve_stats::snapshot() leaves them zero.
-  std::size_t appeal_batches = 0;       // framed batches on the wire
-  std::size_t appeals_on_wire = 0;      // appeals those batches carried
-  double mean_appeals_per_batch = 0.0;  // coalescing factor
-  std::size_t wire_bytes_tx = 0;        // appeal frames (or sim-equivalent)
-  std::size_t wire_bytes_rx = 0;        // response frames
-  std::size_t link_fallbacks = 0;       // appeals answered locally (link down)
-  std::size_t appeal_retries = 0;       // overloaded appeals re-sent
-  std::size_t appeal_overloaded = 0;    // overloaded answers received
-  std::size_t breaker_opens = 0;        // circuit-breaker trips
-  std::uint8_t breaker_state = 0;       // 0 closed / 1 open / 2 half-open
-  std::size_t split_appeals = 0;        // appeals shipped as feature maps
-  std::size_t split_bytes_saved = 0;    // uplink bytes saved vs raw input
-  std::size_t split_rejected = 0;       // split appeals the cloud rejected
-  std::uint32_t split_cut = 0;          // active cut id (0 = raw input)
+  /// The deployment's cloud link over the same window (wire batches and
+  /// bytes, fallbacks, retries, breaker, split appeals). All zero when
+  /// the serve_stats has no channel.
+  link_counters link;
 
   /// Everything that entered submit() and has completed by now (any
   /// status): completed + shed + expired + cloud_expired — shed_rate's
@@ -94,15 +91,19 @@ struct stats_snapshot {
 
 class serve_stats {
  public:
-  explicit serve_stats(const serve_stats_config& cfg = {});
+  /// `link` is the cloud channel whose counters join the snapshot window
+  /// (nullptr leaves stats_snapshot::link zero); it must outlive this.
+  explicit serve_stats(const serve_stats_config& cfg = {},
+                       const cloud_channel* link = nullptr);
 
   /// Records one finished request. Responses with a non-ok status are
-  /// counted as shed/expired and touch no other statistic; `correct` is
-  /// ignored when the request carried no label.
-  void record(const response& r, bool labeled, bool correct);
+  /// counted as shed/expired and touch no other statistic; `is_correct`
+  /// is ignored when the request carried no label. Lock-free.
+  void record(const response& r, bool is_labeled, bool is_correct);
 
-  /// Clears every counter, the latency histogram, and the clock — used to
-  /// discard a warmup phase so a measurement window starts clean.
+  /// Opens a new window: re-takes the baseline (counters, latency
+  /// buckets, link counters) and restarts the clock — used to discard a
+  /// warmup phase so a measurement window starts clean.
   void reset();
 
   stats_snapshot snapshot() const;
@@ -111,40 +112,34 @@ class serve_stats {
   static std::string render(const stats_snapshot& s);
 
  private:
-  double quantile_ms_locked(double q) const;
+  enum counter_id : std::size_t {
+    kRequests, kCompleted, kEdge, kEdgeDegraded, kAppealed, kShed, kExpired,
+    kCloudExpired, kLabeled, kLabeledCorrect, kCloudLabeled,
+    kCloudLabeledCorrect, kCounters
+  };
+  /// Timings the snapshot reports only as means (their summaries still
+  /// export full distributions).
+  enum mean_id : std::size_t { kQueueWait, kLinkTime, kCloudTime, kMeans };
 
-  mutable std::mutex mutex_;
-  serve_stats_config config_;
+  /// Every instrument (and the link's counters) read once; a snapshot is
+  /// the difference of two readings. Only latency needs its buckets.
+  struct reading {
+    std::array<std::uint64_t, kCounters> counts{};
+    obs::histogram::snapshot_data latency;
+    std::array<obs::histogram::totals, kMeans> means{};
+    link_counters link;
+  };
+  reading read() const;
+  void bump(counter_id c) { counters_[c]->add(1); }
+
+  const cloud_channel* link_;
+  std::array<obs::counter*, kCounters> counters_;
+  obs::histogram* latency_;
+  std::array<obs::histogram*, kMeans> means_;
+
+  mutable std::mutex mutex_;  // guards baseline_ and clock_, never record()
+  reading baseline_;
   util::stopwatch clock_;
-  util::histogram latency_;
-  std::size_t completed_ = 0;
-  std::size_t edge_kept_ = 0;
-  std::size_t edge_degraded_ = 0;
-  std::size_t appealed_ = 0;
-  std::size_t shed_ = 0;
-  std::size_t expired_ = 0;
-  std::size_t cloud_expired_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t labeled_ = 0;
-  std::size_t labeled_correct_ = 0;
-  std::size_t cloud_labeled_ = 0;
-  std::size_t cloud_labeled_correct_ = 0;
-  double queue_ms_sum_ = 0.0;
-  double link_ms_sum_ = 0.0;
-  double cloud_ms_sum_ = 0.0;
-
-  /// obs::default_registry() instruments mirroring the counters above,
-  /// labeled {deployment=config_.deployment}. Resolved once here; record()
-  /// bumps them wait-free outside this instance's mutex semantics (the
-  /// registry shards internally).
-  obs::counter& metric_submitted_;
-  obs::counter& metric_completed_;
-  obs::counter& metric_edge_;
-  obs::counter& metric_appealed_;
-  obs::counter& metric_shed_;
-  obs::counter& metric_expired_;
-  obs::counter& metric_cloud_expired_;
-  obs::histogram& metric_latency_;
 };
 
 }  // namespace appeal::serve

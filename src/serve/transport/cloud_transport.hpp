@@ -118,6 +118,44 @@ struct transport_counters {
   }
 };
 
+/// Link-level statistics of a cloud_channel (cloud_channel::counters()),
+/// reported in serve_stats snapshots alongside the per-request counters.
+struct link_counters {
+  transport_counters wire;        // batches, appeals, bytes on the wire
+  std::size_t completed = 0;      // appeals answered (any path)
+  std::size_t local_fallbacks = 0;  // answered locally (link down/overloaded)
+  std::size_t retries = 0;        // overloaded appeals re-sent after backoff
+  std::size_t overloaded = 0;     // overloaded answers received
+  std::size_t breaker_opens = 0;  // breaker closed -> open transitions
+  std::size_t split_appeals = 0;  // appeals shipped as feature maps
+  std::size_t split_bytes_saved = 0;  // uplink bytes saved vs raw input
+  std::size_t split_rejected = 0;     // split appeals the cloud rejected
+  /// Breaker state at capture time (a state, not a counter: since()
+  /// keeps the current value rather than differencing it).
+  std::uint8_t breaker = 0;
+  /// Active split cut at capture time (a state like `breaker`).
+  std::uint32_t split_cut = 0;
+
+  /// Counters accumulated since `baseline` was captured (how
+  /// serve_stats keeps the wire statistics in its measurement window).
+  link_counters since(const link_counters& baseline) const {
+    link_counters d = *this;
+    d.wire.batches_sent -= baseline.wire.batches_sent;
+    d.wire.appeals_sent -= baseline.wire.appeals_sent;
+    d.wire.bytes_sent -= baseline.wire.bytes_sent;
+    d.wire.bytes_received -= baseline.wire.bytes_received;
+    d.completed -= baseline.completed;
+    d.local_fallbacks -= baseline.local_fallbacks;
+    d.retries -= baseline.retries;
+    d.overloaded -= baseline.overloaded;
+    d.breaker_opens -= baseline.breaker_opens;
+    d.split_appeals -= baseline.split_appeals;
+    d.split_bytes_saved -= baseline.split_bytes_saved;
+    d.split_rejected -= baseline.split_rejected;
+    return d;
+  }
+};
+
 class cloud_transport {
  public:
   struct completion {
@@ -127,19 +165,19 @@ class cloud_transport {
     /// measured it (0 for the simulator, whose cloud time is modeled).
     double cloud_ms = 0.0;
     /// The cloud_ms total split into queue wait and batched scoring
-    /// (wire v3; zero from a v2 peer or the simulator). Cloud-stamped
+    /// (zero from the simulator). Cloud-stamped
     /// durations — trace spans use them without cross-clock sync.
     double cloud_queue_ms = 0.0;
     double cloud_score_ms = 0.0;
     /// The cloud shed this appeal because its deadline was already blown
     /// when a scorer worker reached it.
     bool expired = false;
-    /// The cloud refused this appeal without scoring (wire v4: full work
+    /// The cloud refused this appeal without scoring (full work
     /// queue or projected deadline miss); the channel retries it after
     /// retry_after_ms or completes it locally.
     bool overloaded = false;
     double retry_after_ms = 0.0;
-    /// The cloud could not score this appeal as sent (wire v5: unknown
+    /// The cloud could not score this appeal as sent (unknown
     /// split cut id or a feature shape that matches no cut). The channel
     /// completes it locally and stops shipping that cut.
     bool rejected = false;

@@ -70,8 +70,8 @@ void socket_transport::send_batch(const std::vector<const request*>& batch,
     v.deadline_ms = remaining_deadline_ms(*batch[i]);
     v.trace_id = batch[i]->trace != nullptr ? batch[i]->trace->trace_id : 0;
     // Split appeals ship the precomputed feature map; the encoder falls
-    // back to the raw input whenever the feature is absent (or the wire
-    // version predates v5), so the view always carries both.
+    // back to the raw input whenever the feature is absent, so the view
+    // always carries both.
     v.split_cut = batch[i]->split_cut;
     v.feature = &batch[i]->feature;
     v.model = model;

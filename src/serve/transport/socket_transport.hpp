@@ -21,7 +21,7 @@
 #include <thread>
 
 #include "serve/transport/cloud_transport.hpp"
-#include "serve/transport/socket_util.hpp"
+#include "util/net.hpp"
 #include "serve/transport/wire.hpp"
 
 namespace appeal::serve {

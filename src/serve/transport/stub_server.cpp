@@ -328,9 +328,6 @@ void stub_server::serve_connection(connection& conn) {
       while (std::optional<wire::frame> f = splitter.next()) {
         std::vector<wire::appeal_record> batch =
             wire::decode_appeal_batch(*f);
-        // Remember the dialect the peer speaks; responses (from any
-        // worker) go back at the same version.
-        conn.wire_version.store(f->version, std::memory_order_relaxed);
         batches += 1;
         appeals += batch.size();
         for (wire::appeal_record& a : batch) {
@@ -343,8 +340,6 @@ void stub_server::serve_connection(connection& conn) {
           // not expiry: the appeal never waited, so answer `overloaded`
           // with a retry-after hint sized to the current backlog and let
           // the edge decide between retrying and its local fallback.
-          // (Peers at wire v2/v3 can't express `overloaded`; the encoder
-          // downgrades it to `expired` for them.)
           wire::response_record r;
           r.id = id;
           r.status = wire::response_status::overloaded;
@@ -456,7 +451,7 @@ void stub_server::scorer_loop(const batch_scorer_fn& score) {
         }
         // Queue wait + scoring: what this appeal actually cost cloud-side
         // (the whole batch's scoring time is charged to each member — it
-        // waited for the batch either way). The v3 split lets the edge
+        // waited for the batch either way). The queue/score split lets the edge
         // attribute the two separately in its trace spans.
         r.cloud_ms = ms_between(live[i]->enqueued, scored_at);
         r.cloud_queue_ms = ms_between(live[i]->enqueued, popped_at);
@@ -487,8 +482,8 @@ void stub_server::write_responses(
     if (it != connections_.end()) conn = it->second;
   }
   if (conn == nullptr) return;  // client gone; nobody is listening
-  const std::vector<std::uint8_t> framed = wire::encode_response_batch(
-      responses, conn->wire_version.load(std::memory_order_relaxed));
+  const std::vector<std::uint8_t> framed =
+      wire::encode_response_batch(responses);
   try {
     std::lock_guard<std::mutex> write_lock(conn->write_mutex);
     net::write_all(conn->socket, framed.data(), framed.size());

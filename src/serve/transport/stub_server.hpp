@@ -23,7 +23,7 @@
 // (max_queue_depth, with a separate batch-lane budget so background
 // traffic cannot starve interactive appeals of queue space): when appeals
 // outrun the scorer pool, arrivals shed at admission with an immediate
-// `overloaded` response (wire v4) carrying a retry-after hint derived
+// `overloaded` response carrying a retry-after hint derived
 // from the queue's own drain-rate estimate — distinct from `expired`,
 // which means a deadline died *inside* the queue. The same drain-rate
 // estimate powers projected-deadline-miss shedding: an arrival whose
@@ -52,7 +52,7 @@
 
 #include "obs/metrics.hpp"
 #include "serve/transport/cloud_transport.hpp"
-#include "serve/transport/socket_util.hpp"
+#include "util/net.hpp"
 #include "serve/transport/wire.hpp"
 
 namespace appeal::serve {
@@ -251,10 +251,6 @@ class stub_server {
     std::thread thread;
     std::mutex write_mutex;  // response frames from multiple workers
     std::atomic<bool> done{false};
-    /// Highest wire version this peer has spoken (from its appeal frame
-    /// headers). Responses go out at the same version, so a v2 edge
-    /// never sees v3 response fields.
-    std::atomic<std::uint8_t> wire_version{wire::kVersionV2};
   };
 
   void accept_loop();

@@ -1,5 +1,6 @@
 #include "serve/transport/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -106,16 +107,11 @@ class cursor {
   std::size_t offset_ = 0;
 };
 
-void check_encodable_version(std::uint8_t version) {
-  APPEAL_CHECK(version >= kVersionV2 && version <= kVersion,
-               "cannot encode an unknown wire protocol version");
-}
-
-void put_header(std::vector<std::uint8_t>& out, std::uint8_t version,
-                frame_type type, std::size_t count) {
+void put_header(std::vector<std::uint8_t>& out, frame_type type,
+                std::size_t count) {
   APPEAL_CHECK(count <= 0xFFFF, "wire batch too large for a u16 count");
   put_u32(out, kMagic);
-  put_u8(out, version);
+  put_u8(out, kVersion);
   put_u8(out, static_cast<std::uint8_t>(type));
   put_u16(out, static_cast<std::uint16_t>(count));
   put_u32(out, 0);  // payload_bytes backpatched below
@@ -129,27 +125,29 @@ void patch_payload_bytes(std::vector<std::uint8_t>& out) {
   }
 }
 
-/// flags bit0: a trace_id u64 follows deadline_ms (wire v3 only).
+/// Fixed fields of an appeal record (ids through deadline_ms: 36 bytes)
+/// plus its rank and value-count words.
+inline constexpr std::size_t kMinAppealBytes = 36 + 4 + 4;
+
+/// flags bit0: a trace_id u64 follows deadline_ms.
 inline constexpr std::uint8_t kAppealFlagTraced = 0x01;
 /// flags bit1: a cut_id u32 follows the (optional) trace_id, and the
-/// tensor payload is the feature map at that cut (wire v5 only).
+/// tensor payload is the feature map at that cut.
 inline constexpr std::uint8_t kAppealFlagSplit = 0x02;
 
-/// A split appeal only rides a v5 frame with a real feature tensor;
-/// anything else degrades to the raw input the receiver can always score.
-bool encodes_split(const appeal_view& a, std::uint8_t version) {
-  return version >= kVersion && a.split_cut != 0 && a.feature != nullptr &&
-         a.feature->size() > 0;
+/// A split appeal needs a real feature tensor; without one it degrades
+/// to the raw input the receiver can always score.
+bool encodes_split(const appeal_view& a) {
+  return a.split_cut != 0 && a.feature != nullptr && a.feature->size() > 0;
 }
 
-void put_appeal(std::vector<std::uint8_t>& out, const appeal_view& a,
-                std::uint8_t version) {
+void put_appeal(std::vector<std::uint8_t>& out, const appeal_view& a) {
   static const tensor kEmpty;
-  const bool split = encodes_split(a, version);
+  const bool split = encodes_split(a);
   const tensor& t = split ? *a.feature
                           : (a.input != nullptr ? *a.input : kEmpty);
   APPEAL_CHECK(a.model.size() <= 0xFFFF, "deployment name too long for wire");
-  const bool traced = version >= 3 && a.trace_id != 0;
+  const bool traced = a.trace_id != 0;
   put_u64(out, a.id);
   put_u64(out, a.key);
   put_u64(out, a.label);
@@ -179,57 +177,44 @@ void put_appeal(std::vector<std::uint8_t>& out, const appeal_view& a,
 
 }  // namespace
 
-std::size_t appeal_wire_bytes(const appeal_view& a, std::uint8_t version) {
-  const bool split = encodes_split(a, version);
+std::size_t appeal_wire_bytes(const appeal_view& a) {
+  const bool split = encodes_split(a);
   const tensor* payload = split ? a.feature : a.input;
   const std::size_t rank = payload != nullptr ? payload->dims().rank() : 0;
   const std::size_t values = payload != nullptr ? payload->size() : 0;
-  const std::size_t trace = version >= 3 && a.trace_id != 0 ? 8 : 0;
+  const std::size_t trace = a.trace_id != 0 ? 8 : 0;
   const std::size_t cut = split ? 4 : 0;
-  // Fixed fields (36) + optional trace id + optional cut id + rank and
-  // value-count words + dims + name + floats.
-  return 36 + trace + cut + 4 + 4 * rank + 4 + a.model.size() + 4 * values;
+  // Fixed fields + optional trace id + optional cut id + dims + name +
+  // floats.
+  return kMinAppealBytes + trace + cut + 4 * rank + a.model.size() +
+         4 * values;
 }
 
 std::vector<std::uint8_t> encode_appeal_batch(
-    const std::vector<appeal_view>& batch, std::uint8_t version) {
-  check_encodable_version(version);
+    const std::vector<appeal_view>& batch) {
   std::vector<std::uint8_t> out;
   std::size_t total = kHeaderBytes;
-  for (const appeal_view& a : batch) total += appeal_wire_bytes(a, version);
+  for (const appeal_view& a : batch) total += appeal_wire_bytes(a);
   out.reserve(total);
-  put_header(out, version, frame_type::appeal_batch, batch.size());
-  for (const appeal_view& a : batch) put_appeal(out, a, version);
+  put_header(out, frame_type::appeal_batch, batch.size());
+  for (const appeal_view& a : batch) put_appeal(out, a);
   patch_payload_bytes(out);
   return out;
 }
 
 std::vector<std::uint8_t> encode_response_batch(
-    const std::vector<response_record>& batch, std::uint8_t version) {
-  check_encodable_version(version);
+    const std::vector<response_record>& batch) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + kResponseRecordBytes * batch.size());
-  put_header(out, version, frame_type::response_batch, batch.size());
+  put_header(out, frame_type::response_batch, batch.size());
   for (const response_record& r : batch) {
-    // v2/v3 framing cannot say `overloaded`, and only v5 knows
-    // `rejected`; the closest honest answer an old edge understands is
-    // `expired` (don't wait for a prediction).
-    response_status status = r.status;
-    if (version < 4 && status == response_status::overloaded) {
-      status = response_status::expired;
-    }
-    if (version < 5 && status == response_status::rejected) {
-      status = response_status::expired;
-    }
     put_u64(out, r.id);
     put_u64(out, r.prediction);
-    put_u8(out, static_cast<std::uint8_t>(status));
+    put_u8(out, static_cast<std::uint8_t>(r.status));
     put_f64(out, r.cloud_ms);
-    if (version >= 3) {
-      put_f64(out, r.cloud_queue_ms);
-      put_f64(out, r.cloud_score_ms);
-    }
-    if (version >= 4) put_f64(out, r.retry_after_ms);
+    put_f64(out, r.cloud_queue_ms);
+    put_f64(out, r.cloud_score_ms);
+    put_f64(out, r.retry_after_ms);
   }
   patch_payload_bytes(out);
   return out;
@@ -240,7 +225,10 @@ std::vector<appeal_record> decode_appeal_batch(const frame& f) {
                "decode_appeal_batch on a non-appeal frame");
   cursor c(f.payload.data(), f.payload.size());
   std::vector<appeal_record> out;
-  out.reserve(f.count);
+  // A record takes at least kMinAppealBytes, so a forged count cannot
+  // make the decoder reserve more than the payload could hold.
+  out.reserve(std::min<std::size_t>(f.count,
+                                    f.payload.size() / kMinAppealBytes));
   for (std::uint16_t i = 0; i < f.count; ++i) {
     appeal_record a;
     a.id = c.u64();
@@ -253,10 +241,8 @@ std::vector<appeal_record> decode_appeal_batch(const frame& f) {
     const std::uint8_t flags = c.u8();
     const std::uint16_t model_len = c.u16();
     a.deadline_ms = c.f64();
-    if (f.version >= 3 && (flags & kAppealFlagTraced) != 0) {
-      a.trace_id = c.u64();
-    }
-    if (f.version >= 5 && (flags & kAppealFlagSplit) != 0) {
+    if ((flags & kAppealFlagTraced) != 0) a.trace_id = c.u64();
+    if ((flags & kAppealFlagSplit) != 0) {
       a.split_cut = c.u32();
       APPEAL_CHECK(a.split_cut != 0,
                    "wire split appeal carries cut id 0 (raw input)");
@@ -296,27 +282,20 @@ std::vector<response_record> decode_response_batch(const frame& f) {
                "decode_response_batch on a non-response frame");
   cursor c(f.payload.data(), f.payload.size());
   std::vector<response_record> out;
-  out.reserve(f.count);
+  out.reserve(std::min<std::size_t>(f.count,
+                                    f.payload.size() / kResponseRecordBytes));
   for (std::uint16_t i = 0; i < f.count; ++i) {
     response_record r;
     r.id = c.u64();
     r.prediction = c.u64();
     const std::uint8_t status = c.u8();
-    // `overloaded` only exists from the v4 dialect and `rejected` from
-    // v5; on an older frame the byte is as unknown as any other garbage.
-    const std::uint8_t max_status = static_cast<std::uint8_t>(
-        f.version >= 5   ? response_status::rejected
-        : f.version >= 4 ? response_status::overloaded
-                         : response_status::expired);
-    APPEAL_CHECK(status <= max_status,
+    APPEAL_CHECK(status <= static_cast<std::uint8_t>(response_status::rejected),
                  "wire response carries an unknown status");
     r.status = static_cast<response_status>(status);
     r.cloud_ms = c.f64();
-    if (f.version >= 3) {
-      r.cloud_queue_ms = c.f64();
-      r.cloud_score_ms = c.f64();
-    }
-    if (f.version >= 4) r.retry_after_ms = c.f64();
+    r.cloud_queue_ms = c.f64();
+    r.cloud_score_ms = c.f64();
+    r.retry_after_ms = c.f64();
     out.push_back(r);
   }
   APPEAL_CHECK(c.remaining() == 0, "trailing bytes after the last record");
@@ -337,9 +316,7 @@ std::optional<frame> frame_splitter::next() {
   if (buffered() < kHeaderBytes) return std::nullopt;
   cursor header(buffer_.data() + consumed_, kHeaderBytes);
   APPEAL_CHECK(header.u32() == kMagic, "wire stream lost framing (bad magic)");
-  const std::uint8_t version = header.u8();
-  APPEAL_CHECK(version >= kVersionV2 && version <= kVersion,
-               "unsupported wire protocol version");
+  APPEAL_CHECK(header.u8() == kVersion, "unsupported wire protocol version");
   const std::uint8_t type = header.u8();
   APPEAL_CHECK(type == static_cast<std::uint8_t>(frame_type::appeal_batch) ||
                    type == static_cast<std::uint8_t>(frame_type::response_batch),
@@ -351,7 +328,6 @@ std::optional<frame> frame_splitter::next() {
   if (buffered() < kHeaderBytes + payload_bytes) return std::nullopt;
   frame f;
   f.type = static_cast<frame_type>(type);
-  f.version = version;
   f.count = count;
   const std::uint8_t* body = buffer_.data() + consumed_ + kHeaderBytes;
   f.payload.assign(body, body + payload_bytes);

@@ -4,48 +4,37 @@
 //
 //   ┌──────────┬─────────┬──────┬───────┬───────────────┬─────────────┐
 //   │ magic u32│ ver u8  │ type │ count │ payload_bytes │   payload   │
-//   │ "APL1"   │ (2..5)  │  u8  │  u16  │      u32      │  (records)  │
+//   │ "APL1"   │   (5)   │  u8  │  u16  │      u32      │  (records)  │
 //   └──────────┴─────────┴──────┴───────┴───────────────┴─────────────┘
 //     12-byte header, all integers little-endian, floats IEEE-754.
 //
-// An appeal_batch payload holds `count` appeal records (request id, key,
-// label, priority class, remaining deadline, deployment name, tensor
-// shape + float32 payload); a response_batch holds `count` response
-// records (request id, prediction, status, stub-side queue-wait +
-// compute time). Request ids are the demux key: the response side may
-// reorder or split batches and the channel still completes the right
+// There is one dialect, version 5; a frame stamped with any other
+// version is rejected. Request ids are the demux key: the response side
+// may reorder or split batches and the channel still completes the right
 // appeal.
 //
-// Version negotiation is per-frame and backward compatible: a v4 peer
-// decodes v2/v3 frames (the splitter accepts all three and stamps the
-// version on the frame), and the stub replies to each connection at the
-// version it spoke, so an old edge never sees fields it can't parse.
-// v3 adds
-//   - appeal records: flags bit0 ("traced") + an optional trace_id u64
-//     right after deadline_ms, propagating sampled trace spans across
-//     the link;
-//   - response records: cloud_queue_ms + cloud_score_ms f64s after
-//     cloud_ms, splitting the cloud-stamped cost into work-queue wait
-//     and batched scoring for per-stage latency attribution.
-// v4 adds
-//   - response_status::overloaded: the cloud refused the appeal without
-//     scoring it (full work queue or a projected deadline miss), plus a
-//     retry_after_ms f64 hint after cloud_score_ms telling the edge how
-//     long the queue-wait estimate says to back off. Encoding an
-//     overloaded response at v2/v3 downgrades the status to `expired` —
-//     the strongest "don't wait for me" an old edge understands.
-// v5 adds
-//   - split-computing appeals: flags bit1 ("split") + a cut_id u32 right
-//     after the optional trace_id. The tensor payload is then the
+// An appeal_batch payload holds `count` appeal records:
+//
+//   id u64 · key u64 · label u64 · priority u8 · flags u8 ·
+//   model_len u16 · deadline_ms f64 · [trace_id u64] · [cut_id u32] ·
+//   rank u32 · dims u32 × rank · values u32 · model · f32 × values
+//
+//   - flags bit0 ("traced"): a trace_id follows deadline_ms, propagating
+//     a sampled trace span across the link;
+//   - flags bit1 ("split"): a cut_id follows, and the tensor is the
 //     intermediate feature map at that cut of the canonical cloud model
 //     (cut ids are 1-based indices into its nn::sequential cut table),
-//     not the raw input; the cloud scores only the suffix. Encoding a
-//     split appeal at v2-v4 falls back to shipping the raw input — an
-//     old cloud transparently recomputes in full, same answers.
-//   - response_status::rejected: the cloud could not score the appeal as
-//     sent (unknown cut id / feature shape); the edge answers it from
-//     its local copy and stops shipping that cut. Downgrades to
-//     `expired` at v2-v4.
+//     not the raw input; the cloud scores only the suffix.
+//
+// A response_batch payload holds `count` response records:
+//
+//   id u64 · prediction u64 · status u8 · cloud_ms f64 ·
+//   cloud_queue_ms f64 · cloud_score_ms f64 · retry_after_ms f64
+//
+// cloud_ms is the cloud-stamped cost (work-queue wait + batched
+// scoring), split into its two parts for per-stage latency attribution;
+// retry_after_ms is the back-off hint of an `overloaded` answer. See
+// response_status for what each status means.
 //
 // Decoding is defensive: a frame_splitter accumulates an arbitrary byte
 // stream (torn reads hand it any prefix) and yields only complete,
@@ -67,16 +56,7 @@
 namespace appeal::serve::wire {
 
 inline constexpr std::uint32_t kMagic = 0x314C5041;  // "APL1" little-endian
-/// v2: response records carry a status byte (deadline-shed appeals come
-/// back as `expired` instead of a made-up prediction).
-inline constexpr std::uint8_t kVersionV2 = 2;
-/// v3: optional trace_id on appeals, cloud-stamped queue/score split on
-/// responses.
-inline constexpr std::uint8_t kVersionV3 = 3;
-/// v4: `overloaded` response status + retry_after_ms hint.
-inline constexpr std::uint8_t kVersionV4 = 4;
-/// v5 (current): split-computing appeals (cut_id + feature-map payload)
-/// and the `rejected` response status. Decoders accept v2 through v5.
+/// The protocol version every frame carries (and the only one accepted).
 inline constexpr std::uint8_t kVersion = 5;
 inline constexpr std::size_t kHeaderBytes = 12;
 /// Upper bound on one frame's payload; a peer announcing more is treated
@@ -97,9 +77,9 @@ struct appeal_record {
   priority_class priority = priority_class::interactive;
   /// Remaining deadline budget at send time (ms); < 0 means "none".
   double deadline_ms = -1.0;
-  /// Trace span id riding the appeal (wire v3, flags bit0); 0 = unsampled.
+  /// Trace span id riding the appeal (flags bit0); 0 = unsampled.
   std::uint64_t trace_id = 0;
-  /// Split-computing cut id (wire v5, flags bit1); 0 = raw-input appeal.
+  /// Split-computing cut id (flags bit1); 0 = raw-input appeal.
   /// When > 0, `input` holds the feature map at that cut of the canonical
   /// cloud model and the receiver scores only the suffix.
   std::uint32_t split_cut = 0;
@@ -115,11 +95,10 @@ struct appeal_view {
   std::uint64_t label = request::no_label;
   priority_class priority = priority_class::interactive;
   double deadline_ms = -1.0;
-  std::uint64_t trace_id = 0;  // 0 = unsampled (not encoded, even on v3)
-  /// Split-computing appeal (wire v5): ship `*feature` tagged with
-  /// `split_cut` instead of the input. Encoding at v2-v4 — or with a null
-  /// or empty feature — falls back to the raw input, so an old peer
-  /// receives an appeal it can score by full recompute.
+  std::uint64_t trace_id = 0;  // 0 = unsampled (not encoded)
+  /// Split-computing appeal: ship `*feature` tagged with `split_cut`
+  /// instead of the input. A null or empty feature falls back to the raw
+  /// input, which the receiver can always score by full recompute.
   std::uint32_t split_cut = 0;
   const tensor* feature = nullptr;
   std::string_view model;
@@ -129,10 +108,10 @@ struct appeal_view {
 /// How the cloud disposed of one appeal. `expired` means the appeal's
 /// remaining deadline was already blown when a cloud worker reached it:
 /// the cloud shed it without scoring, and `prediction` is meaningless.
-/// `overloaded` (wire v4) means the cloud refused the appeal without
+/// `overloaded` means the cloud refused the appeal without
 /// scoring — full work queue or a projected deadline miss — and the edge
 /// should back off (retry after retry_after_ms, or answer locally).
-/// `rejected` (wire v5) means the cloud could not score the appeal as
+/// `rejected` means the cloud could not score the appeal as
 /// sent — unknown split cut id or a feature shape matching no cut — and
 /// the edge should answer it locally (no retry can fix a bad cut).
 enum class response_status : std::uint8_t {
@@ -149,44 +128,36 @@ struct response_record {
   /// Stub-side cost of the appeal: work-queue wait + batch scoring time.
   /// The client compares this against its cost model's cloud term.
   double cloud_ms = 0.0;
-  /// wire v3: the cloud_ms total split into work-queue wait and batched
-  /// scoring, stamped on the cloud's clock. Zero when decoded from v2.
+  /// The cloud_ms total split into work-queue wait and batched scoring,
+  /// stamped on the cloud's clock.
   double cloud_queue_ms = 0.0;
   double cloud_score_ms = 0.0;
-  /// wire v4: how long the cloud suggests the edge wait before retrying
-  /// an `overloaded` appeal (its queue-wait estimate); 0 on other
-  /// statuses and when decoded from v2/v3.
+  /// How long the cloud suggests the edge wait before retrying an
+  /// `overloaded` appeal (its queue-wait estimate); 0 on other statuses.
   double retry_after_ms = 0.0;
 };
 
 /// One complete, validated frame (header parsed, payload bounds known).
 struct frame {
   frame_type type = frame_type::appeal_batch;
-  /// Protocol version the sender spoke (2 through 5); decoders branch on
-  /// it and a server replies at the same version.
-  std::uint8_t version = kVersion;
   std::uint16_t count = 0;
   std::vector<std::uint8_t> payload;
 };
 
-/// Exact wire size of one appeal record at `version` (used by the
-/// simulator to count the bytes a real link would carry without encoding
-/// anything).
-std::size_t appeal_wire_bytes(const appeal_view& a,
-                              std::uint8_t version = kVersion);
+/// Exact wire size of one appeal record (used by the simulator to count
+/// the bytes a real link would carry without encoding anything).
+std::size_t appeal_wire_bytes(const appeal_view& a);
 
-/// Exact wire size of one v4 response record (id + prediction + status +
+/// Exact wire size of one response record (id + prediction + status +
 /// cloud_ms + queue/score split + retry_after); the simulator uses it to
 /// count equivalent downlink bytes.
 inline constexpr std::size_t kResponseRecordBytes = 8 + 8 + 1 + 8 + 8 + 8 + 8;
 
-/// Frame encoders. `version` selects the wire dialect (kVersionV2 for
-/// talking to old peers and crafting compat-test frames).
+/// Frame encoders.
 std::vector<std::uint8_t> encode_appeal_batch(
-    const std::vector<appeal_view>& batch, std::uint8_t version = kVersion);
+    const std::vector<appeal_view>& batch);
 std::vector<std::uint8_t> encode_response_batch(
-    const std::vector<response_record>& batch,
-    std::uint8_t version = kVersion);
+    const std::vector<response_record>& batch);
 
 /// Decodes the records of a validated frame. Throws util::error when the
 /// frame type does not match or a record overruns the payload.

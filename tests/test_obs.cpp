@@ -1,13 +1,16 @@
 // Observability tests: registry instruments (counter/gauge/histogram
-// semantics, quantile edge cases, concurrent writers — the TSan CI job
+// semantics, the log-linear layout and its 1/64 quantile bound, quantile
+// edge cases, concurrent writers — the TSan CI job
 // runs this suite), Prometheus/JSON rendering, trace sampling and
 // collection, the HTTP exporter round trip, and an end-to-end engine
 // trace whose stages must reconcile with the measured latency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "serve/engine.hpp"
 #include "util/error.hpp"
 #include "util/net.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -49,13 +53,13 @@ TEST(metrics, registry_find_or_create_is_by_name_and_labels) {
   EXPECT_EQ(b.value(), 0U);
 }
 
-TEST(metrics, registry_rejects_kind_and_binning_mismatches) {
+TEST(metrics, registry_rejects_kind_mismatches) {
   obs::metrics_registry reg;
   reg.get_counter("thing_total");
   EXPECT_THROW(reg.get_gauge("thing_total"), util::error);
-  reg.get_histogram("lat_ms", {}, 0.0, 100.0, 10);
-  EXPECT_THROW(reg.get_histogram("lat_ms", {}, 0.0, 200.0, 10), util::error);
-  EXPECT_NO_THROW(reg.get_histogram("lat_ms", {}, 0.0, 100.0, 10));
+  EXPECT_THROW(reg.get_histogram("thing_total"), util::error);
+  obs::histogram& h = reg.get_histogram("lat_ms");
+  EXPECT_EQ(&reg.get_histogram("lat_ms"), &h);
 }
 
 TEST(metrics, gauge_set_and_add) {
@@ -69,8 +73,8 @@ TEST(metrics, gauge_set_and_add) {
 }
 
 TEST(metrics, histogram_quantile_empty_is_zero) {
-  obs::histogram h(0.0, 10.0, 10);
-  const auto s = h.snapshot();
+  const auto h = std::make_unique<obs::histogram>();
+  const auto s = h->snapshot();
   EXPECT_EQ(s.total, 0U);
   EXPECT_EQ(s.quantile(0.5), 0.0);
   EXPECT_EQ(s.quantile(0.99), 0.0);
@@ -78,59 +82,134 @@ TEST(metrics, histogram_quantile_empty_is_zero) {
 }
 
 TEST(metrics, histogram_single_bin_quantiles_all_land_there) {
-  obs::histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.observe(3.2);
-  const auto s = h.snapshot();
-  // Every observation is in bin 3 ([3, 4)); every quantile reads its
-  // center.
-  EXPECT_DOUBLE_EQ(s.quantile(0.01), 3.5);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 3.5);
-  EXPECT_DOUBLE_EQ(s.quantile(0.99), 3.5);
+  const auto h = std::make_unique<obs::histogram>();
+  for (int i = 0; i < 100; ++i) h->observe(3.2);
+  const auto s = h->snapshot();
+  // Every observation is in one bucket; every quantile reads its
+  // midpoint, which is within 1/64 of the value.
+  const std::size_t b = obs::histogram::bucket_of(3.2);
+  EXPECT_EQ(s.counts[b], 100U);
+  const double mid = 0.5 * (obs::histogram::bucket_lower(b) +
+                            obs::histogram::bucket_upper(b));
+  EXPECT_DOUBLE_EQ(s.quantile(0.01), mid);
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), mid);
+  EXPECT_DOUBLE_EQ(s.quantile(0.99), mid);
+  EXPECT_NEAR(mid, 3.2, 3.2 / 64.0);
   EXPECT_EQ(s.overflow, 0U);
 }
 
+TEST(metrics, histogram_layout_is_contiguous_log_linear) {
+  using h = obs::histogram;
+  EXPECT_EQ(h::kBuckets, 992U);
+  // 16 shards of 992 u64 buckets: about 0.12 MB per instrument.
+  EXPECT_LE(sizeof(h), 130'000U);
+  EXPECT_EQ(h::bucket_lower(0), 0.0);
+  EXPECT_EQ(h::bucket_upper(h::kBuckets - 1), std::ldexp(1.0, h::kMaxExp));
+  EXPECT_EQ(h::bucket_lower(h::kSubBuckets), std::ldexp(1.0, h::kMinExp));
+  for (std::size_t b = 0; b < h::kBuckets; ++b) {
+    const double lo = h::bucket_lower(b);
+    const double hi = h::bucket_upper(b);
+    ASSERT_LT(lo, hi) << "bucket " << b;
+    EXPECT_EQ(h::bucket_of(lo), b) << "bucket " << b;
+    EXPECT_EQ(h::bucket_of(std::nextafter(hi, 0.0)), b) << "bucket " << b;
+    // Above the linear range, the midpoint is within 1/64 of every value
+    // in the bucket.
+    if (b >= h::kSubBuckets) {
+      EXPECT_LE(hi - lo, lo / 32.0) << "bucket " << b;
+    }
+  }
+}
+
+TEST(metrics, histogram_quantiles_within_1_64_of_exact) {
+  // Log-uniform latencies from 1 µs to 10 s (in ms).
+  util::rng gen(2024);
+  const auto h = std::make_unique<obs::histogram>();
+  std::vector<double> values(100000);
+  for (double& v : values) {
+    v = std::pow(10.0, -3.0 + 7.0 * gen.uniform());
+    h->observe(v);
+  }
+  std::sort(values.begin(), values.end());
+  const auto s = h->snapshot();
+  ASSERT_EQ(s.total, values.size());
+  for (const double q : {0.5, 0.95, 0.99}) {
+    const std::size_t rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(values.size())));
+    const double exact = values[rank - 1];
+    EXPECT_LE(std::abs(s.quantile(q) - exact), exact / 64.0) << "q " << q;
+  }
+}
+
 TEST(metrics, histogram_overflow_clamps_to_top_bin_and_counts) {
-  obs::histogram h(0.0, 10.0, 10);
-  h.observe(5.0);
-  h.observe(10.0);        // at hi: clamps
-  h.observe(1e9);         // far beyond: clamps
-  h.observe(-7.0);        // below lo: bin 0, not overflow
-  const auto s = h.snapshot();
+  const auto h = std::make_unique<obs::histogram>();
+  const double top = std::ldexp(1.0, obs::histogram::kMaxExp);
+  h->observe(5.0);
+  h->observe(top);  // at the upper edge: clamps
+  h->observe(1e9);  // far beyond: clamps
+  h->observe(-7.0); // below zero: bucket 0, not overflow
+  const auto s = h->snapshot();
   EXPECT_EQ(s.total, 4U);
   EXPECT_EQ(s.overflow, 2U);
   EXPECT_EQ(s.counts[0], 1U);
-  EXPECT_EQ(s.counts[5], 1U);
-  EXPECT_EQ(s.counts[9], 2U);
+  EXPECT_EQ(s.counts[obs::histogram::bucket_of(5.0)], 1U);
+  EXPECT_EQ(s.counts[obs::histogram::kBuckets - 1], 2U);
   // The sum keeps the raw values (so the mean shows the clamping too).
-  EXPECT_DOUBLE_EQ(s.sum, 5.0 + 10.0 + 1e9 - 7.0);
+  EXPECT_DOUBLE_EQ(s.sum, 5.0 + top + 1e9 - 7.0);
 }
 
 TEST(metrics, histogram_nan_counts_as_overflow) {
-  obs::histogram h(0.0, 10.0, 10);
-  h.observe(std::numeric_limits<double>::quiet_NaN());
-  const auto s = h.snapshot();
-  EXPECT_EQ(s.total, 1U);
+  const auto h = std::make_unique<obs::histogram>();
+  h->observe(std::numeric_limits<double>::quiet_NaN());
+  h->observe(2.0);
+  const auto s = h->snapshot();
+  EXPECT_EQ(s.total, 2U);
   EXPECT_EQ(s.overflow, 1U);
+  EXPECT_EQ(s.counts[obs::histogram::kBuckets - 1], 1U);
+  EXPECT_DOUBLE_EQ(s.sum, 2.0);  // NaN stays out of the sum
+}
+
+TEST(metrics, histogram_since_subtracts_a_baseline_and_totals_agree) {
+  const auto h = std::make_unique<obs::histogram>();
+  h->observe(1.0);
+  h->observe(1e9);  // overflow
+  const auto base = h->snapshot();
+  h->observe(1.0);
+  h->observe(100.0);
+  const auto d = h->snapshot().since(base);
+  EXPECT_EQ(d.total, 2U);
+  EXPECT_EQ(d.overflow, 0U);
+  EXPECT_EQ(d.counts[obs::histogram::bucket_of(1.0)], 1U);
+  EXPECT_EQ(d.counts[obs::histogram::bucket_of(100.0)], 1U);
+  EXPECT_DOUBLE_EQ(d.quantile(0.5), 1.0 + 1.0 / 64.0);
+  // The bucket-free totals agree with the full snapshot.
+  const auto t = h->read_totals();
+  EXPECT_EQ(t.total, 4U);
+  EXPECT_EQ(t.overflow, 1U);
+  const auto dt = t.since(base);
+  EXPECT_EQ(dt.total, d.total);
+  EXPECT_DOUBLE_EQ(dt.mean(), 50.5);
 }
 
 TEST(metrics, histogram_concurrent_observers_lose_nothing) {
-  obs::histogram h(0.0, 100.0, 100);
+  const auto h = std::make_unique<obs::histogram>();
   constexpr std::size_t kThreads = 8;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> pool;
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&h] {
       for (int i = 0; i < kPerThread; ++i) {
-        h.observe(static_cast<double>(i % 100) + 0.5);
+        h->observe(static_cast<double>(i % 100) + 0.5);
       }
     });
   }
   for (auto& t : pool) t.join();
-  const auto s = h.snapshot();
-  EXPECT_EQ(s.total, kThreads * kPerThread);
-  for (std::size_t b = 0; b < 100; ++b) {
-    EXPECT_EQ(s.counts[b], kThreads * kPerThread / 100) << "bin " << b;
+  std::vector<std::uint64_t> want(obs::histogram::kBuckets, 0);
+  for (int v = 0; v < 100; ++v) {
+    want[obs::histogram::bucket_of(v + 0.5)] += kThreads * kPerThread / 100;
   }
+  const auto s = h->snapshot();
+  EXPECT_EQ(s.total, kThreads * kPerThread);
+  EXPECT_EQ(s.counts, want);
 }
 
 TEST(metrics, concurrent_registration_yields_one_instrument) {
@@ -155,7 +234,7 @@ TEST(metrics, prometheus_render_has_help_type_and_labels) {
   obs::metrics_registry reg;
   reg.get_counter("req_total", {{"deployment", "d"}}, "requests").add(5);
   reg.get_gauge("depth", {}, "queue depth").set(2.0);
-  obs::histogram& h = reg.get_histogram("lat_ms", {}, 0.0, 10.0, 10, "lat");
+  obs::histogram& h = reg.get_histogram("lat_ms", {}, "lat");
   h.observe(3.0);
   h.observe(7.0);
   const std::string text = reg.render_prometheus();
@@ -231,7 +310,7 @@ TEST(trace, collector_ring_bounds_and_jsonl) {
 TEST(trace, collector_feeds_only_on_path_stages) {
   obs::metrics_registry reg;
   obs::trace_collector col(16);
-  col.attach_registry(&reg, 100.0, 100);
+  col.attach_registry(&reg);
   obs::trace_span edge_kept;
   edge_kept.total_ms = 1.0;
   edge_kept.appealed = false;
@@ -241,13 +320,11 @@ TEST(trace, collector_feeds_only_on_path_stages) {
   appealed.appealed = true;
   col.record(std::move(appealed));
   // Cloud stages saw only the appealed span; edge stages saw both.
-  EXPECT_EQ(reg.get_histogram("appeal_stage_ms", {{"stage", "cloud_queue"}},
-                              0.0, 100.0, 100)
+  EXPECT_EQ(reg.get_histogram("appeal_stage_ms", {{"stage", "cloud_queue"}})
                 .snapshot()
                 .total,
             1U);
-  EXPECT_EQ(reg.get_histogram("appeal_stage_ms", {{"stage", "queue_wait"}},
-                              0.0, 100.0, 100)
+  EXPECT_EQ(reg.get_histogram("appeal_stage_ms", {{"stage", "queue_wait"}})
                 .snapshot()
                 .total,
             2U);

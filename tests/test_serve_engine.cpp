@@ -1,17 +1,22 @@
 // End-to-end serving engine tests (the engine stays usable standalone,
 // without the serve::server facade): every submitted request completes,
-// stats are self-consistent, with a fixed δ the online accuracy/SR equal
+// stats are self-consistent (also read live, and against the registry
+// instruments they are kept in), with a fixed δ the online accuracy/SR equal
 // the offline core::threshold evaluation of the same population, owned
 // factory backends, and deadline expiry.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/threshold.hpp"
 #include "metrics/metrics.hpp"
+#include "obs/metrics.hpp"
 #include "serve/engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -287,6 +292,104 @@ TEST(engine, simulated_link_delay_shows_up_in_cloud_latency) {
   const serve::stats_snapshot s = eng.stats().snapshot();
   EXPECT_EQ(s.appealed, n);
   EXPECT_GT(s.mean_link_ms, 0.0);
+}
+
+/// The stats ledger lives in the registry: snapshots taken while four
+/// client threads drive the engine must add up, and after the drain every
+/// snapshot count equals its registry instrument minus the value it had
+/// when the engine (and its baseline) was built. TSan runs this suite.
+TEST(engine, live_snapshots_add_up_and_match_the_registry) {
+  const std::size_t n = 4000;
+  const population p = make_population(n, 61);
+  serve::replay_edge_backend edge(p.little, p.scores);
+  serve::replay_cloud_backend cloud(p.big);
+
+  const obs::label_set label = {{"deployment", "ledger-test"}};
+  obs::metrics_registry& reg = obs::default_registry();
+  const auto counter = [&](const char* name) {
+    return reg.get_counter(name, label).value();
+  };
+  const auto summary_count = [&](const char* name) {
+    return reg.get_histogram(name, label).snapshot().total;
+  };
+  const char* const kCounters[] = {
+      "appeal_requests_total",      "appeal_completed_total",
+      "appeal_edge_total",          "appeal_edge_degraded_total",
+      "appeal_appealed_total",      "appeal_shed_total",
+      "appeal_expired_total",       "appeal_cloud_expired_requests_total",
+      "appeal_labeled_total",       "appeal_labeled_correct_total",
+      "appeal_cloud_labeled_total", "appeal_cloud_labeled_correct_total"};
+  std::vector<std::uint64_t> base;
+  for (const char* name : kCounters) base.push_back(counter(name));
+  const std::uint64_t latency_base = summary_count("appeal_latency_ms");
+  const std::uint64_t queue_base = summary_count("appeal_queue_wait_ms");
+  const std::uint64_t link_base = summary_count("appeal_link_ms");
+
+  serve::engine_config cfg = fast_config();
+  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
+  cfg.threshold.initial_delta = 0.55;
+  cfg.stats.deployment = "ledger-test";
+  serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
+
+  std::atomic<bool> done{false};
+  std::size_t live_snapshots = 0;
+  std::thread reader([&] {
+    std::size_t last_completed = 0;
+    while (!done.load()) {
+      const serve::stats_snapshot s = eng.snapshot();
+      EXPECT_EQ(s.edge_kept + s.edge_degraded + s.appealed, s.completed);
+      EXPECT_EQ(s.completed + s.shed + s.expired + s.cloud_expired,
+                s.submitted);
+      EXPECT_LE(s.achieved_sr, 1.0);
+      EXPECT_GE(s.completed, last_completed);
+      last_completed = s.completed;
+      ++live_snapshots;
+    }
+  });
+  constexpr std::size_t kClients = 4;
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = c; i < n; i += kClients) {
+        serve::inference_request req;
+        req.key = i;
+        // Every 8th request is unlabeled, every 16th has an already
+        // blown deadline and expires.
+        req.label = i % 8 == 3 ? serve::request::no_label : p.labels[i];
+        if (i % 16 == 5) req.deadline = std::chrono::microseconds(-1);
+        eng.submit(std::move(req));
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  eng.drain();
+  done.store(true);
+  reader.join();
+  EXPECT_GT(live_snapshots, 0U);
+
+  const serve::stats_snapshot s = eng.snapshot();
+  const auto delta = [&](std::size_t i) {
+    return static_cast<std::size_t>(counter(kCounters[i]) - base[i]);
+  };
+  EXPECT_EQ(s.submitted, n);
+  EXPECT_EQ(s.submitted, delta(0));
+  EXPECT_EQ(s.completed, delta(1));
+  EXPECT_EQ(s.edge_kept + s.edge_degraded, delta(2));
+  EXPECT_EQ(s.edge_degraded, delta(3));
+  EXPECT_EQ(s.appealed, delta(4));
+  EXPECT_EQ(s.shed, delta(5));
+  EXPECT_EQ(s.expired, delta(6));
+  EXPECT_EQ(s.cloud_expired, delta(7));
+  EXPECT_EQ(s.labeled, delta(8));
+  EXPECT_EQ(s.labeled_correct, delta(9));
+  EXPECT_EQ(s.cloud_labeled, delta(10));
+  EXPECT_EQ(s.cloud_labeled_correct, delta(11));
+  EXPECT_EQ(s.completed, summary_count("appeal_latency_ms") - latency_base);
+  EXPECT_EQ(s.completed, summary_count("appeal_queue_wait_ms") - queue_base);
+  EXPECT_EQ(s.appealed, summary_count("appeal_link_ms") - link_base);
+  EXPECT_GT(s.expired, 0U);
+  EXPECT_GT(s.appealed, 0U);
+  EXPECT_LT(s.labeled, s.completed);
 }
 
 }  // namespace

@@ -172,6 +172,63 @@ TEST(server, two_sharded_deployments_match_their_offline_predictions) {
   EXPECT_NE(report.find("deployment 'speech'"), std::string::npos);
 }
 
+/// A shard's snapshot and its deployment's are one window over one
+/// ledger: after either kind of reset they must agree on the request
+/// counters AND the shared cloud link's counters.
+TEST(server, shard_and_deployment_snapshots_agree_after_reset) {
+  const std::size_t n = 400;
+  const population p = make_population(n, 303, 0.8);
+  serve::server srv;
+  serve::deployment& dep = srv.register_deployment(
+      "windows", replay_deployment_config(2, 0.6), replay_edge_factory(p),
+      replay_cloud_factory(p));
+  const auto serve_all = [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      serve::inference_request req;
+      req.model = "windows";
+      req.key = i;
+      req.label = p.labels[i];
+      srv.submit(std::move(req));
+    }
+    srv.drain();
+  };
+  const auto expect_agree = [&](const char* when) {
+    const serve::stats_snapshot d = dep.snapshot();
+    for (std::size_t i = 0; i < dep.num_shards(); ++i) {
+      const serve::stats_snapshot s = dep.shard(i).snapshot();
+      EXPECT_EQ(s.submitted, d.submitted) << when << ", shard " << i;
+      EXPECT_EQ(s.completed, d.completed) << when << ", shard " << i;
+      EXPECT_EQ(s.appealed, d.appealed) << when << ", shard " << i;
+      EXPECT_EQ(s.link.completed, d.link.completed) << when << ", shard " << i;
+      EXPECT_EQ(s.link.wire.appeals_sent, d.link.wire.appeals_sent)
+          << when << ", shard " << i;
+      EXPECT_EQ(s.link.wire.bytes_sent, d.link.wire.bytes_sent)
+          << when << ", shard " << i;
+    }
+    return d;
+  };
+
+  serve_all();
+  dep.reset_stats();
+  serve::stats_snapshot d = expect_agree("after deployment reset");
+  EXPECT_EQ(d.completed, 0U);
+  EXPECT_EQ(d.link.wire.appeals_sent, 0U);
+  EXPECT_EQ(d.link.wire.bytes_sent, 0U);
+
+  serve_all();
+  d = expect_agree("after serving again");
+  EXPECT_EQ(d.completed, n);
+  EXPECT_GT(d.appealed, 0U);
+  EXPECT_EQ(d.link.wire.appeals_sent, d.appealed);
+  EXPECT_EQ(d.link.completed, d.appealed);
+
+  dep.shard(1).reset_stats();
+  d = expect_agree("after shard reset");
+  EXPECT_EQ(d.completed, 0U);
+  EXPECT_EQ(d.link.wire.appeals_sent, 0U);
+  EXPECT_EQ(d.link.wire.bytes_sent, 0U);
+}
+
 TEST(server, unknown_model_and_duplicate_registration_throw) {
   const population p = make_population(64, 7, 0.8);
   serve::server srv;

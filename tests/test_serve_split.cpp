@@ -1,6 +1,6 @@
 // Split-computing appeal tests: cut tables on the model core
 // (forward_to_cut / forward_prefix+suffix bit-exactness, fold
-// survival), wire v5 <-> v4 compatibility for feature-map frames, and
+// survival), feature-map frames through torn reads, and
 // the end-to-end split path over a UDS loopback stub — fixed-cut
 // bit-exactness at every cut, unknown-cut rejection with blacklisting,
 // and auto mode shedding wire bytes at unchanged answers.
@@ -164,10 +164,10 @@ TEST(split_model, enumerate_cloud_cuts_matches_model_table) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire v5: split frames, v4 fallback, torn reads.
+// Wire: split frames through torn reads.
 // ---------------------------------------------------------------------------
 
-TEST(wire_split, v5_feature_frame_round_trips_through_torn_reads) {
+TEST(wire_split, feature_frame_round_trips_through_torn_reads) {
   const tensor input = tensor::from_values(shape{3, 2, 2},
                                            std::vector<float>(12, 0.25F));
   const tensor feature =
@@ -181,7 +181,7 @@ TEST(wire_split, v5_feature_frame_round_trips_through_torn_reads) {
   v.split_cut = 3;
   v.feature = &feature;
   const std::vector<std::uint8_t> bytes =
-      wire::encode_appeal_batch({v}, wire::kVersion);
+      wire::encode_appeal_batch({v});
 
   // A torn stream: the splitter sees the frame one byte at a time and
   // must yield exactly one well-formed frame at the final byte.
@@ -197,7 +197,6 @@ TEST(wire_split, v5_feature_frame_round_trips_through_torn_reads) {
     }
   }
   ASSERT_EQ(frames, 1U);
-  EXPECT_EQ(frame.version, wire::kVersion);
 
   const std::vector<wire::appeal_record> records =
       wire::decode_appeal_batch(frame);
@@ -205,58 +204,6 @@ TEST(wire_split, v5_feature_frame_round_trips_through_torn_reads) {
   EXPECT_EQ(records[0].id, 42U);
   EXPECT_EQ(records[0].split_cut, 3U);
   expect_bit_exact(records[0].input, feature, "feature payload");
-}
-
-TEST(wire_split, v4_peer_receives_raw_input_appeal) {
-  // Encoding a split view at v4 must ship the raw input: an old cloud
-  // transparently recomputes in full instead of choking on a cut id.
-  const tensor input =
-      tensor::from_values(shape{2, 2}, {1.5F, -2.5F, 3.5F, -4.5F});
-  const tensor feature = tensor::from_values(shape{4}, {9, 9, 9, 9});
-  wire::appeal_view v;
-  v.id = 1;
-  v.model = "compat";
-  v.input = &input;
-  v.split_cut = 2;
-  v.feature = &feature;
-
-  wire::frame_splitter splitter;
-  const std::vector<std::uint8_t> bytes =
-      wire::encode_appeal_batch({v}, wire::kVersionV4);
-  splitter.feed(bytes.data(), bytes.size());
-  const auto frame = splitter.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->version, wire::kVersionV4);
-  const std::vector<wire::appeal_record> records =
-      wire::decode_appeal_batch(*frame);
-  ASSERT_EQ(records.size(), 1U);
-  EXPECT_EQ(records[0].split_cut, 0U) << "v4 frame leaked a cut id";
-  expect_bit_exact(records[0].input, input, "raw input fallback");
-}
-
-TEST(wire_split, rejected_status_downgrades_below_v5) {
-  wire::response_record r;
-  r.id = 5;
-  r.status = wire::response_status::rejected;
-
-  wire::frame_splitter splitter;
-  const std::vector<std::uint8_t> v5 =
-      wire::encode_response_batch({r}, wire::kVersion);
-  splitter.feed(v5.data(), v5.size());
-  auto frame = splitter.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(wire::decode_response_batch(*frame)[0].status,
-            wire::response_status::rejected);
-
-  const std::vector<std::uint8_t> v4 =
-      wire::encode_response_batch({r}, wire::kVersionV4);
-  splitter.feed(v4.data(), v4.size());
-  frame = splitter.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(wire::decode_response_batch(*frame)[0].status,
-            wire::response_status::expired)
-      << "an old edge must read 'rejected' as the strongest status it "
-         "knows: don't wait for me";
 }
 
 // ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@
 #include "serve/engine.hpp"
 #include "serve/transport/fault_transport.hpp"
 #include "serve/transport/socket_transport.hpp"
-#include "serve/transport/socket_util.hpp"
 #include "serve/transport/stub_server.hpp"
 #include "serve/transport/synthetic_scorer.hpp"
 #include "util/error.hpp"
+#include "util/net.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -400,8 +400,8 @@ TEST(transport, engine_serves_identically_over_sim_and_uds) {
   EXPECT_EQ(sim.appealed, uds.appealed);
   EXPECT_DOUBLE_EQ(sim.achieved_sr, uds.achieved_sr);
   EXPECT_DOUBLE_EQ(sim.online_accuracy, uds.online_accuracy);
-  EXPECT_EQ(uds.link_fallbacks, 0U);
-  EXPECT_EQ(uds.appeals_on_wire, uds.appealed);
+  EXPECT_EQ(uds.link.local_fallbacks, 0U);
+  EXPECT_EQ(uds.link.wire.appeals_sent, uds.appealed);
 }
 
 wire::appeal_record make_appeal(std::uint64_t id, priority_class priority,

@@ -1,14 +1,18 @@
 // Wire-protocol tests: field-exact round trips, torn/partial reads
 // through the frame_splitter, malformed-stream rejection (bad magic /
-// version / type, oversized frames, truncated and tampered records), and
-// demux-relevant properties (ids survive arbitrary response ordering).
+// any version but the one dialect / type, oversized frames, truncated
+// and tampered records), a deterministic mutation fuzzer over valid
+// frames, and demux-relevant properties (ids survive arbitrary response
+// ordering).
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "serve/transport/wire.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -89,16 +93,15 @@ TEST(wire, encoded_size_matches_wire_bytes_prediction) {
 
 TEST(wire, response_batch_round_trips_in_any_order) {
   // The cloud may answer a coalesced batch in any order (or split it);
-  // the per-record id is the demux key and must survive untouched. The
-  // middle record is a deadline-shed appeal: its `expired` status must
-  // round trip too (the whole point of answering instead of dropping).
+  // the per-record id is the demux key and must survive untouched, and
+  // so must every status (an answer that is not a prediction is the
+  // whole point of answering instead of dropping).
   std::vector<wire::response_record> batch;
-  for (const std::uint64_t id : {9ULL, 2ULL, 5ULL}) {
+  for (const std::uint64_t id : {9ULL, 2ULL, 5ULL, 14ULL}) {
     wire::response_record r;
     r.id = id;
     r.prediction = 100 + id;
-    r.status = id == 2 ? wire::response_status::expired
-                       : wire::response_status::ok;
+    r.status = static_cast<wire::response_status>(batch.size());
     r.cloud_ms = 0.5 * static_cast<double>(id);
     batch.push_back(r);
   }
@@ -108,8 +111,9 @@ TEST(wire, response_batch_round_trips_in_any_order) {
   EXPECT_EQ(f->type, wire::frame_type::response_batch);
   const std::vector<wire::response_record> decoded =
       wire::decode_response_batch(*f);
-  ASSERT_EQ(decoded.size(), 3U);
-  for (std::size_t i = 0; i < 3; ++i) {
+  ASSERT_EQ(decoded.size(), batch.size());
+  EXPECT_EQ(decoded.back().status, wire::response_status::rejected);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(decoded[i].id, batch[i].id);
     EXPECT_EQ(decoded[i].prediction, batch[i].prediction);
     EXPECT_EQ(decoded[i].status, batch[i].status);
@@ -177,12 +181,14 @@ TEST(wire, rejects_bad_magic_version_and_type) {
     s.feed(bad.data(), bad.size());
     EXPECT_THROW(s.next(), util::error);
   }
-  {
+  // One dialect: every other version byte is rejected, including the
+  // retired 2-4 and the unassigned ones on either side.
+  for (const std::uint8_t version : {0, 1, 2, 3, 4, 6, 99, 255}) {
     std::vector<std::uint8_t> bad = good;
-    bad[4] = 99;  // version
+    bad[4] = version;
     wire::frame_splitter s;
     s.feed(bad.data(), bad.size());
-    EXPECT_THROW(s.next(), util::error);
+    EXPECT_THROW(s.next(), util::error) << "version " << int(version);
   }
   {
     std::vector<std::uint8_t> bad = good;
@@ -278,14 +284,13 @@ TEST(wire, rejects_dims_whose_product_overflows) {
   EXPECT_THROW(wire::decode_appeal_batch(*f), util::error);
 }
 
-TEST(wire, v3_appeal_trace_id_round_trips) {
+TEST(wire, appeal_trace_id_round_trips) {
   const tensor t = make_tensor();
   std::vector<wire::appeal_view> views = make_views(t);
   views[0].trace_id = 0xFEEDFACE12345678ULL;  // views[1] stays untraced
   const std::optional<wire::frame> f =
       split_one(wire::encode_appeal_batch(views));
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->version, wire::kVersion);
   const std::vector<wire::appeal_record> decoded =
       wire::decode_appeal_batch(*f);
   ASSERT_EQ(decoded.size(), 2U);
@@ -293,7 +298,7 @@ TEST(wire, v3_appeal_trace_id_round_trips) {
   EXPECT_EQ(decoded[1].trace_id, 0U);
 }
 
-TEST(wire, v3_response_stage_split_round_trips) {
+TEST(wire, response_stage_split_round_trips) {
   wire::response_record r;
   r.id = 11;
   r.prediction = 4;
@@ -310,51 +315,8 @@ TEST(wire, v3_response_stage_split_round_trips) {
   EXPECT_DOUBLE_EQ(decoded[0].cloud_score_ms, 1.25);
 }
 
-TEST(wire, decodes_v2_appeal_frames_from_old_peers) {
-  // A v2 peer never sends trace ids; the trace_id on the view must not
-  // leak into the encoding and the decode must come back untraced.
-  const tensor t = make_tensor();
-  std::vector<wire::appeal_view> views = make_views(t);
-  views[0].trace_id = 42;
-  const std::vector<std::uint8_t> bytes =
-      wire::encode_appeal_batch(views, wire::kVersionV2);
-  EXPECT_EQ(bytes[4], wire::kVersionV2);
-  const std::optional<wire::frame> f = split_one(bytes);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->version, wire::kVersionV2);
-  const std::vector<wire::appeal_record> decoded =
-      wire::decode_appeal_batch(*f);
-  ASSERT_EQ(decoded.size(), 2U);
-  EXPECT_EQ(decoded[0].trace_id, 0U);
-  // Every v1/v2-era field still round trips through the old framing.
-  EXPECT_EQ(decoded[0].id, 7U);
-  EXPECT_DOUBLE_EQ(decoded[0].deadline_ms, 12.5);
-  EXPECT_EQ(decoded[0].input.dims(), t.dims());
-}
-
-TEST(wire, decodes_v2_response_frames_from_old_peers) {
-  wire::response_record r;
-  r.id = 3;
-  r.prediction = 9;
-  r.cloud_ms = 1.5;
-  r.cloud_queue_ms = 7.0;  // v2 framing cannot carry these
-  r.cloud_score_ms = 8.0;
-  const std::vector<std::uint8_t> bytes =
-      wire::encode_response_batch({r}, wire::kVersionV2);
-  const std::optional<wire::frame> f = split_one(bytes);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->version, wire::kVersionV2);
-  const std::vector<wire::response_record> decoded =
-      wire::decode_response_batch(*f);
-  ASSERT_EQ(decoded.size(), 1U);
-  EXPECT_EQ(decoded[0].prediction, 9U);
-  EXPECT_DOUBLE_EQ(decoded[0].cloud_ms, 1.5);
-  EXPECT_DOUBLE_EQ(decoded[0].cloud_queue_ms, 0.0);
-  EXPECT_DOUBLE_EQ(decoded[0].cloud_score_ms, 0.0);
-}
-
-TEST(wire, v4_overloaded_status_round_trips_with_retry_hint) {
-  // The v4 backpressure answer: `overloaded` plus the cloud's queue-wait
+TEST(wire, overloaded_status_round_trips_with_retry_hint) {
+  // The backpressure answer: `overloaded` plus the cloud's queue-wait
   // estimate as a retry-after hint, alongside an ok record in the same
   // frame (whose hint must stay zero).
   wire::response_record shed;
@@ -368,7 +330,6 @@ TEST(wire, v4_overloaded_status_round_trips_with_retry_hint) {
   const std::optional<wire::frame> f =
       split_one(wire::encode_response_batch({shed, ok}));
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->version, wire::kVersion);
   const std::vector<wire::response_record> decoded =
       wire::decode_response_batch(*f);
   ASSERT_EQ(decoded.size(), 2U);
@@ -379,34 +340,161 @@ TEST(wire, v4_overloaded_status_round_trips_with_retry_hint) {
   EXPECT_DOUBLE_EQ(decoded[1].retry_after_ms, 0.0);
 }
 
-TEST(wire, overloaded_downgrades_to_expired_for_old_peers) {
-  // v2/v3 framing has no `overloaded` status and no retry_after field: a
-  // stub answering an old edge downgrades the shed to `expired`, the
-  // strongest "no prediction for you" those dialects can express.
-  wire::response_record r;
-  r.id = 8;
-  r.status = wire::response_status::overloaded;
-  r.retry_after_ms = 12.0;
-  for (const std::uint8_t version : {wire::kVersionV2, wire::kVersionV3}) {
-    const std::vector<std::uint8_t> bytes =
-        wire::encode_response_batch({r}, version);
-    const std::optional<wire::frame> f = split_one(bytes);
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(f->version, version);
-    const std::vector<wire::response_record> decoded =
-        wire::decode_response_batch(*f);
-    ASSERT_EQ(decoded.size(), 1U);
-    EXPECT_EQ(decoded[0].status, wire::response_status::expired)
-        << "v" << int(version);
-    EXPECT_DOUBLE_EQ(decoded[0].retry_after_ms, 0.0);
+// --- mutation fuzzing -------------------------------------------------------
+
+/// Decodes a byte stream the way a receiver does. Every outcome must be
+/// well-formed records or a util::error; any other exception escapes
+/// and fails the test, and the sanitizer builds catch out-of-bounds
+/// reads. Returns the number of records decoded.
+std::size_t decode_or_reject(const std::vector<std::uint8_t>& bytes) {
+  wire::frame_splitter splitter;
+  splitter.feed(bytes.data(), bytes.size());
+  std::size_t records = 0;
+  try {
+    while (std::optional<wire::frame> f = splitter.next()) {
+      if (f->type == wire::frame_type::appeal_batch) {
+        for (const wire::appeal_record& a : wire::decode_appeal_batch(*f)) {
+          EXPECT_EQ(a.input.size(),
+                    a.input.dims().rank() == 0
+                        ? 0
+                        : a.input.dims().element_count());
+          EXPECT_LE(static_cast<int>(a.priority),
+                    static_cast<int>(priority_class::batch));
+          ++records;
+        }
+      } else {
+        for (const wire::response_record& r :
+             wire::decode_response_batch(*f)) {
+          EXPECT_LE(static_cast<int>(r.status),
+                    static_cast<int>(wire::response_status::rejected));
+          ++records;
+        }
+      }
+    }
+  } catch (const util::error&) {
+    // Rejected: the one failure mode a malformed stream may have.
+  }
+  return records;
+}
+
+/// The fuzzer's seed frames: an appeal batch mixing plain, unlabeled,
+/// traced, split, and traced+split records, and a response batch with
+/// every status.
+std::vector<std::vector<std::uint8_t>> seed_frames(const tensor& input,
+                                                   const tensor& feature) {
+  std::vector<wire::appeal_view> views = make_views(input);
+  wire::appeal_view traced = views[0];
+  traced.id = 9;
+  traced.trace_id = 0xABCDEF;
+  wire::appeal_view split = views[0];
+  split.id = 10;
+  split.split_cut = 2;
+  split.feature = &feature;
+  wire::appeal_view both = split;
+  both.id = 11;
+  both.trace_id = 77;
+  views.insert(views.end(), {traced, split, both});
+
+  std::vector<wire::response_record> responses;
+  for (std::uint8_t s = 0;
+       s <= static_cast<std::uint8_t>(wire::response_status::rejected); ++s) {
+    wire::response_record r;
+    r.id = 20 + s;
+    r.prediction = s;
+    r.status = static_cast<wire::response_status>(s);
+    r.cloud_ms = 1.0 + s;
+    r.cloud_queue_ms = 0.5;
+    r.cloud_score_ms = 0.5 + s;
+    r.retry_after_ms = s == 2 ? 12.0 : 0.0;
+    responses.push_back(r);
+  }
+  return {wire::encode_appeal_batch(views),
+          wire::encode_response_batch(responses)};
+}
+
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t at,
+            std::uint64_t v, int width) {
+  for (int i = 0; i < width && at + i < bytes.size(); ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
 
-TEST(wire, encoders_reject_unknown_versions) {
-  const tensor t = make_tensor();
-  EXPECT_THROW(wire::encode_appeal_batch(make_views(t), 1), util::error);
-  EXPECT_THROW(wire::encode_response_batch({}, wire::kVersion + 1),
-               util::error);
+TEST(wire_fuzz, seed_frames_decode_cleanly) {
+  const tensor input = make_tensor();
+  const tensor feature = tensor::from_values(shape{5}, {1, 2, 3, 4, 5});
+  const auto frames = seed_frames(input, feature);
+  EXPECT_EQ(decode_or_reject(frames[0]), 5U);
+  EXPECT_EQ(decode_or_reject(frames[1]), 4U);
+}
+
+TEST(wire_fuzz, truncation_at_every_length) {
+  const tensor input = make_tensor();
+  const tensor feature = tensor::from_values(shape{5}, {1, 2, 3, 4, 5});
+  for (const std::vector<std::uint8_t>& frame : seed_frames(input, feature)) {
+    for (std::size_t len = 0; len < frame.size(); ++len) {
+      std::vector<std::uint8_t> cut(frame.begin(), frame.begin() + len);
+      // A torn read: the splitter must wait for the rest, never yield.
+      EXPECT_EQ(decode_or_reject(cut), 0U) << "prefix " << len;
+      // The same cut with the header claiming exactly what is there:
+      // the last record now ends early.
+      if (len >= wire::kHeaderBytes) {
+        put_le(cut, 8, len - wire::kHeaderBytes, 4);
+        EXPECT_EQ(decode_or_reject(cut), 0U) << "honest prefix " << len;
+      }
+    }
+  }
+}
+
+TEST(wire_fuzz, length_and_count_rewrites) {
+  const tensor input = make_tensor();
+  const tensor feature = tensor::from_values(shape{5}, {1, 2, 3, 4, 5});
+  const auto frames = seed_frames(input, feature);
+  util::rng gen(17);
+  // Offsets of the header's count and payload_bytes, and of the first
+  // (plain) appeal record's model_len, rank, first dim and value count.
+  constexpr std::size_t kRecord = wire::kHeaderBytes;
+  const std::vector<std::pair<std::size_t, int>> appeal_fields = {
+      {6, 2}, {8, 4}, {kRecord + 26, 2}, {kRecord + 36, 4},
+      {kRecord + 40, 4}, {kRecord + 52, 4}};
+  const std::vector<std::pair<std::size_t, int>> response_fields = {{6, 2},
+                                                                   {8, 4}};
+  for (std::size_t which = 0; which < frames.size(); ++which) {
+    const auto& fields = which == 0 ? appeal_fields : response_fields;
+    for (const auto& [at, width] : fields) {
+      const std::uint64_t max = width == 2 ? 0xFFFF : 0xFFFFFFFF;
+      std::vector<std::uint64_t> values = {0, 1, 2, 3, 8, 9, 255, 256,
+                                           max - 1, max,
+                                           wire::kMaxFrameBytes,
+                                           wire::kMaxFrameBytes + 1};
+      for (int i = 0; i < 64; ++i) values.push_back(gen.next_u64() & max);
+      for (const std::uint64_t v : values) {
+        std::vector<std::uint8_t> bytes = frames[which];
+        put_le(bytes, at, v & max, width);
+        decode_or_reject(bytes);
+      }
+    }
+  }
+}
+
+TEST(wire_fuzz, random_byte_flips) {
+  const tensor input = make_tensor();
+  const tensor feature = tensor::from_values(shape{5}, {1, 2, 3, 4, 5});
+  const auto frames = seed_frames(input, feature);
+  util::rng gen(4242);
+  std::size_t survived = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<std::uint8_t> bytes = frames[iter % frames.size()];
+    const int flips = 1 + static_cast<int>(gen.next_u64() % 4);
+    for (int k = 0; k < flips; ++k) {
+      const std::size_t at = gen.next_u64() % bytes.size();
+      bytes[at] ^= static_cast<std::uint8_t>(1 + gen.next_u64() % 255);
+    }
+    if (decode_or_reject(bytes) > 0) ++survived;
+  }
+  // Flips inside float payloads and ids leave the frame well-formed; the
+  // fuzzer must exercise both outcomes.
+  EXPECT_GT(survived, 0U);
+  EXPECT_LT(survived, 4000U);
 }
 
 TEST(wire, decoders_reject_mismatched_frame_type) {

@@ -31,7 +31,7 @@
 //                       initialized from --init_seed, conv+BN folded,
 //                       one instance per worker, appeals scored as
 //                       stacked batch forwards. Split-computing appeals
-//                       (wire v5: a cut id + the feature map at that cut
+//                       (a cut id + the feature map at that cut
 //                       of the shared canonical model) score suffix-only
 //                       from the same cut table; an unknown cut or a
 //                       mismatched feature shape is answered `rejected`
