@@ -169,8 +169,7 @@ void cloud_channel::drain() {
 }
 
 std::size_t cloud_channel::completed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return completed_;
+  return completed_.load(std::memory_order_relaxed);
 }
 
 link_counters cloud_channel::counters() const {
@@ -178,7 +177,7 @@ link_counters cloud_channel::counters() const {
   link_counters c;
   c.wire = wire_base_;
   if (transport_ != nullptr) accumulate(c.wire, transport_->counters());
-  c.completed = completed_;
+  c.completed = completed_.load(std::memory_order_relaxed);
   c.local_fallbacks = local_fallbacks_;
   c.retries = retries_;
   c.overloaded = overloaded_;
@@ -901,9 +900,9 @@ void cloud_channel::finish(in_flight&& entry, appeal_outcome outcome) {
              outcome.link_ms - entry.tx_ms - outcome.cloud_queue_ms -
                  outcome.cloud_score_ms);
   }
+  completed_.fetch_add(1, std::memory_order_relaxed);
   entry.on_complete(std::move(entry.req), outcome);
   std::lock_guard<std::mutex> lock(mutex_);
-  ++completed_;
   --outstanding_;
   if (outstanding_ == 0) drained_.notify_all();
 }

@@ -252,7 +252,10 @@ class cloud_channel {
   util::rng jitter_rng_;  // retry backoff jitter (guarded by mutex_)
   std::uint64_t next_wire_id_ = 0;
   std::size_t outstanding_ = 0;
-  std::size_t completed_ = 0;
+  /// Bumped before the completion callback runs, so whoever sees an
+  /// appeal's request complete (a drain, then a stats reset) also sees
+  /// it counted here.
+  std::atomic<std::size_t> completed_{0};
   std::size_t local_fallbacks_ = 0;
   std::size_t retries_ = 0;
   std::size_t overloaded_ = 0;

@@ -335,7 +335,7 @@ TEST(engine, live_snapshots_add_up_and_match_the_registry) {
   std::size_t live_snapshots = 0;
   std::thread reader([&] {
     std::size_t last_completed = 0;
-    while (!done.load()) {
+    do {
       const serve::stats_snapshot s = eng.snapshot();
       EXPECT_EQ(s.edge_kept + s.edge_degraded + s.appealed, s.completed);
       EXPECT_EQ(s.completed + s.shed + s.expired + s.cloud_expired,
@@ -344,7 +344,7 @@ TEST(engine, live_snapshots_add_up_and_match_the_registry) {
       EXPECT_GE(s.completed, last_completed);
       last_completed = s.completed;
       ++live_snapshots;
-    }
+    } while (!done.load());
   });
   constexpr std::size_t kClients = 4;
   std::vector<std::thread> clients;
