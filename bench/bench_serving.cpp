@@ -32,11 +32,8 @@
 //     output). The sim transport scores appeals with the local
 //     network_cloud_backend; over a socket, start
 //     `cloud_stub --scorer=network` with the same weights and the two
-//     runs' cloud-path accuracy must agree bit for bit.
-//     --split_mode=fixed --split_cut=N ships the cut-N feature map
-//     instead of raw pixels (split computing); =auto lets the channel
-//     pick the cut online from the cost model + measured link bandwidth.
-//     Either way predictions stay bit-identical to full recompute.
+//     runs' cloud-path accuracy must agree bit for bit. Appeals always
+//     ship the raw pixels; the cloud runs the whole big network.
 //
 // Three cloud transports:
 //   --transport=sim (default): the deterministic cost-model simulator;
@@ -54,7 +51,6 @@
 //       [--appeal_queue_depth=256]
 //       [--backend=replay|network] [--edge_precision=fp32|int8|auto]
 //       [--cloud=replay|network]
-//       [--split_mode=off|fixed|auto] [--split_cut=<1-based cut id>]
 //       [--weights=<path>] [--admission=block|shed|edge_only]
 //       [--transport=sim|uds|tcp] [--endpoint=<path|host:port>]
 //       [--coalesce_ms=0] [--max_batch_appeals=64]
@@ -394,9 +390,7 @@ void append_run_json(std::FILE* f, const char* mode, const run_result& r,
       " \"submitted\": %zu, \"completed\": %zu, \"edge_kept\": %zu,"
       " \"edge_degraded\": %zu, \"appealed\": %zu,"
       " \"appeal_retries\": %zu, \"appeal_overloaded\": %zu,"
-      " \"breaker_opens\": %zu, \"breaker_state\": %u,"
-      " \"split_appeals\": %zu, \"split_bytes_saved\": %zu,"
-      " \"split_rejected\": %zu, \"split_cut\": %u}%s\n",
+      " \"breaker_opens\": %zu, \"breaker_state\": %u}%s\n",
       mode, r.stats.throughput_rps, r.stats.p50_ms, r.stats.p95_ms,
       r.stats.p99_ms, r.stats.achieved_sr, r.stats.online_accuracy,
       r.stats.shed_rate, r.stats.shed, r.stats.expired, r.stats.cloud_expired,
@@ -407,8 +401,7 @@ void append_run_json(std::FILE* f, const char* mode, const run_result& r,
       r.stats.submitted, r.stats.completed, r.stats.edge_kept,
       r.stats.edge_degraded, r.stats.appealed, link.retries, link.overloaded,
       link.breaker_opens, static_cast<unsigned>(link.breaker),
-      link.split_appeals, link.split_bytes_saved, link.split_rejected,
-      link.split_cut, last ? "" : ",");
+      last ? "" : ",");
 }
 
 }  // namespace
@@ -436,13 +429,6 @@ int main(int argc, char** argv) {
   APPEAL_CHECK(!network_cloud || network_backend,
                "--cloud=network needs --backend=network (appeals must "
                "carry images)");
-  const serve::split_mode split_sel =
-      serve::parse_split_mode(args.get_string_or("split_mode", "off"));
-  const auto split_cut =
-      static_cast<std::uint32_t>(args.get_int_or("split_cut", 0));
-  APPEAL_CHECK(split_sel == serve::split_mode::off || network_cloud,
-               "--split_mode=fixed|auto needs --cloud=network (a replay "
-               "cloud has no layers to split)");
   const serve::edge_precision precision =
       serve::parse_edge_precision(args.get_string_or("edge_precision", "fp32"));
   APPEAL_CHECK(precision == serve::edge_precision::fp32 || network_backend,
@@ -570,20 +556,6 @@ int main(int argc, char** argv) {
     const core::two_head_config edge_cfg = edge_net_config();
     big_cfg.spec.image_size = edge_cfg.spec.image_size;
     big_cfg.spec.num_classes = edge_cfg.spec.num_classes;
-    if (split_sel != serve::split_mode::off) {
-      // Both link ends derive their cut tables from the same canonical
-      // spec; the channel validates the fixed cut id against this table.
-      cfg.shard.channel.split.mode = split_sel;
-      cfg.shard.channel.split.cut = split_cut;
-      cfg.shard.channel.split.cuts = serve::enumerate_cloud_cuts(big_cfg);
-      std::printf("split cuts (%s):\n", serve::split_mode_name(split_sel));
-      for (const serve::split_cut_spec& c : cfg.shard.channel.split.cuts) {
-        std::printf(
-            "  cut %u %-10s %6zu wire bytes, suffix %8.3f MFLOPs\n", c.id,
-            c.name.c_str(), c.wire_bytes,
-            static_cast<double>(c.suffix_flops) / 1e6);
-      }
-    }
     {
       serve::network_cloud_backend table_builder(
           serve::make_cloud_model(big_cfg));
@@ -706,8 +678,6 @@ int main(int argc, char** argv) {
                  "  \"fp32_delta\": %.6f,\n"
                  "  \"cloud\": \"%s\",\n"
                  "  \"transport\": \"%s\",\n"
-                 "  \"split_mode\": \"%s\",\n"
-                 "  \"split_cut\": %u,\n"
                  "  \"coalesce_ms\": %.3f,\n"
                  "  \"requests\": %zu,\n"
                  "  \"clients\": %zu,\n"
@@ -721,7 +691,6 @@ int main(int argc, char** argv) {
                  cfg.edge_weight_bits, nw.recal_delta, nw.fp32_delta,
                  cloud.c_str(),
                  serve::transport_kind_name(cfg.shard.channel.transport),
-                 serve::split_mode_name(split_sel), split_cut,
                  cfg.shard.channel.coalesce_window_ms, requests, clients,
                  shards, static_cast<unsigned long long>(seed), target_sr,
                  offline.delta, offline.achieved_sr, offline.accuracy);

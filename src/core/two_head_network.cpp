@@ -69,14 +69,6 @@ tensor two_head_network::forward_approximator(const tensor& images,
   return logits;
 }
 
-tensor two_head_network::forward_to_cut(const tensor& images,
-                                        std::size_t cut_index) {
-  const std::vector<nn::cut_point>& cuts = extractor_->cuts();
-  APPEAL_CHECK(cut_index < cuts.size(),
-               "forward_to_cut: cut index out of range");
-  return extractor_->forward_prefix(images, cuts[cut_index].boundary);
-}
-
 std::size_t two_head_network::prepare_for_inference() {
   if (folded_for_inference_) return 0;
   folded_for_inference_ = true;

@@ -47,14 +47,6 @@ class two_head_network {
   /// phase-1 pretraining path and the baseline little-model path.
   tensor forward_approximator(const tensor& images, bool training);
 
-  /// Inference-only prefix pass: runs the extractor up to cut `cut_index`
-  /// (an index into extractor().cuts()) and returns the intermediate
-  /// feature map — the tensor a split-computing appeal ships instead of
-  /// the raw input. Reuses the same inference-workspace arena as the edge
-  /// pass, and because forward() is forward_range over the whole chain,
-  /// prefix-then-suffix is bit-identical to one full forward.
-  tensor forward_to_cut(const tensor& images, std::size_t cut_index);
-
   /// One-time deployment optimization: folds every conv+batchnorm pair in
   /// the extractor (nn::fold_conv_batchnorm). Outputs are unchanged up to
   /// float rounding; training after this call is meaningless. Idempotent.

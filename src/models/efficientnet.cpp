@@ -61,29 +61,23 @@ backbone make_efficientnet_backbone(const model_spec& spec) {
   const std::size_t c2 = scaled_channels(48, spec.width);
   const std::size_t c3 = scaled_channels(96, spec.width);
 
-  // Stem. Cut points sit on the stage seams — the natural split-computing
-  // hand-off boundaries (activation maps shrink at every downsample).
+  // Stem.
   net->emplace<nn::conv2d>(spec.in_channels, c0, 3, 1, 1, 1, false);
   net->emplace<nn::batchnorm2d>(c0);
   net->emplace<nn::silu>();
-  net->mark_cut("stem");
 
   // MBConv stages.
   append_mbconv(*net, c0, c1, 2);
   for (std::size_t d = 1; d < spec.depth; ++d) {
     append_mbconv(*net, c1, c1, 1);
   }
-  net->mark_cut("stage1");
   append_mbconv(*net, c1, c2, 2);
   for (std::size_t d = 1; d < spec.depth; ++d) {
     append_mbconv(*net, c2, c2, 1);
   }
-  net->mark_cut("stage2");
   append_mbconv(*net, c2, c3, 2);
-  net->mark_cut("stage3");
 
   net->emplace<nn::global_avgpool>();
-  net->mark_cut("features");
 
   backbone out;
   out.features = std::move(net);

@@ -62,25 +62,18 @@ backbone make_resnet_backbone(const model_spec& spec) {
   const std::size_t c3 = scaled_channels(128, spec.width);
   const std::size_t blocks = std::max<std::size_t>(1, spec.depth);
 
-  // Stem. Cut points sit on the stage seams — the natural split-computing
-  // hand-off boundaries (activation maps shrink at every downsample).
+  // Stem.
   net->emplace<nn::conv2d>(spec.in_channels, c0, 3, 1, 1, 1, false);
   net->emplace<nn::batchnorm2d>(c0);
   net->emplace<nn::relu>();
-  net->mark_cut("stem");
 
   // Stages: full-resolution stage then three downsampling stages.
   append_stage(*net, c0, c0, 1, blocks);
-  net->mark_cut("stage1");
   append_stage(*net, c0, c1, 2, blocks);
-  net->mark_cut("stage2");
   append_stage(*net, c1, c2, 2, blocks);
-  net->mark_cut("stage3");
   append_stage(*net, c2, c3, 2, blocks);
-  net->mark_cut("stage4");
 
   net->emplace<nn::global_avgpool>();
-  net->mark_cut("features");
 
   backbone out;
   out.features = std::move(net);

@@ -72,29 +72,23 @@ backbone make_shufflenet_backbone(const model_spec& spec) {
   const std::size_t c3 = scaled_channels(128, spec.width, shuffle_groups,
                                          shuffle_groups);
 
-  // Stem. Cut points sit on the stage seams — the natural split-computing
-  // hand-off boundaries (activation maps shrink at every downsample).
+  // Stem.
   net->emplace<nn::conv2d>(spec.in_channels, c0, 3, 1, 1, 1, false);
   net->emplace<nn::batchnorm2d>(c0);
   net->emplace<nn::relu>();
-  net->mark_cut("stem");
 
   // Stages of shuffle units.
   net->append(make_shuffle_unit(c0, c1, 2));
   for (std::size_t d = 1; d < spec.depth; ++d) {
     net->append(make_shuffle_unit(c1, c1, 1));
   }
-  net->mark_cut("stage1");
   net->append(make_shuffle_unit(c1, c2, 2));
   for (std::size_t d = 1; d < spec.depth; ++d) {
     net->append(make_shuffle_unit(c2, c2, 1));
   }
-  net->mark_cut("stage2");
   net->append(make_shuffle_unit(c2, c3, 2));
-  net->mark_cut("stage3");
 
   net->emplace<nn::global_avgpool>();
-  net->mark_cut("features");
 
   backbone out;
   out.features = std::move(net);

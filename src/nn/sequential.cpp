@@ -24,13 +24,6 @@ layer_ptr sequential::remove_child(std::size_t i) {
   APPEAL_CHECK(i < children_.size(), "sequential child index out of range");
   layer_ptr out = std::move(children_[i]);
   children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(i));
-  // Keep cut boundaries pointing at the same architectural seam: any cut
-  // past the removed slot shifts down with the children (conv+batchnorm
-  // folding removes the absorbed batchnorm this way, and both ends of a
-  // split link fold identically, so their cut tables stay in lockstep).
-  for (cut_point& cut : cuts_) {
-    if (cut.boundary > i) --cut.boundary;
-  }
   return out;
 }
 
@@ -39,47 +32,6 @@ layer_ptr sequential::replace_child(std::size_t i, layer_ptr with) {
   APPEAL_CHECK(with != nullptr, "sequential::replace_child(nullptr)");
   layer_ptr out = std::move(children_[i]);
   children_[i] = std::move(with);
-  return out;
-}
-
-void sequential::mark_cut(std::string name) {
-  APPEAL_CHECK(!children_.empty(),
-               "mark_cut before any child: a cut at boundary 0 is just the "
-               "raw input");
-  APPEAL_CHECK(cuts_.empty() || cuts_.back().boundary < children_.size(),
-               "duplicate cut boundary: " + name);
-  cuts_.push_back(cut_point{std::move(name), children_.size()});
-}
-
-std::vector<cut_info> sequential::cut_table(const shape& single_input) const {
-  std::vector<cut_info> out;
-  out.reserve(cuts_.size());
-  std::uint64_t total = 0;
-  shape current = single_input;
-  std::size_t next_cut = 0;
-  std::vector<std::uint64_t> prefix(cuts_.size(), 0);
-  std::vector<shape> at_cut(cuts_.size());
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    total += children_[i]->flops(current);
-    current = children_[i]->output_shape(current);
-    while (next_cut < cuts_.size() && cuts_[next_cut].boundary == i + 1) {
-      prefix[next_cut] = total;
-      at_cut[next_cut] = current;
-      ++next_cut;
-    }
-  }
-  APPEAL_CHECK(next_cut == cuts_.size(),
-               "cut boundary beyond the last child");
-  for (std::size_t c = 0; c < cuts_.size(); ++c) {
-    cut_info info;
-    info.name = cuts_[c].name;
-    info.boundary = cuts_[c].boundary;
-    info.output = at_cut[c];
-    info.feature_bytes = at_cut[c].element_count() * sizeof(float);
-    info.prefix_flops = prefix[c];
-    info.suffix_flops = total - prefix[c];
-    out.push_back(std::move(info));
-  }
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Sequential layer container with named partition (cut) points.
+// Sequential layer container.
 #pragma once
 
 #include <memory>
@@ -9,30 +9,6 @@
 #include "nn/layer.hpp"
 
 namespace appeal::nn {
-
-/// A named partition point between children: children [0, boundary) are
-/// the prefix, [boundary, size()) the suffix. Cut boundaries track graph
-/// rewrites — remove_child shifts them, replace_child preserves them — so
-/// two processes that build and fold the same architecture end up with
-/// identical cut tables (the property split-computing serving relies on).
-struct cut_point {
-  std::string name;
-  std::size_t boundary = 0;
-};
-
-/// Everything a partition decision needs to know about one cut, computed
-/// for a given input shape: the feature shape crossing the boundary, its
-/// encoded size, and how the model's FLOPs divide around it. Shapes are
-/// whatever the children propagate — conv stacks want NCHW, so pass a
-/// batch-of-one [1, C, H, W] and strip the batch axis downstream.
-struct cut_info {
-  std::string name;
-  std::size_t boundary = 0;
-  shape output;                    // per-sample feature shape at the cut
-  std::size_t feature_bytes = 0;   // wire payload: 4 bytes per value
-  std::uint64_t prefix_flops = 0;  // compute the sender has already done
-  std::uint64_t suffix_flops = 0;  // compute the receiver still owes
-};
 
 /// Ordered chain of layers; forward runs front-to-back, backward back-to-
 /// front. Owns its children.
@@ -65,32 +41,11 @@ class sequential : public layer {
   /// for layer substitution (quantized kernels, calibration observers).
   layer_ptr replace_child(std::size_t i, layer_ptr with);
 
-  /// Declares a named cut point *after* the children appended so far
-  /// (boundary = size()). Builders call this between architectural stages;
-  /// boundaries must be strictly increasing and past at least one child.
-  void mark_cut(std::string name);
-
-  /// Cut points in boundary order, live-adjusted across graph rewrites.
-  const std::vector<cut_point>& cuts() const { return cuts_; }
-
-  /// Per-cut shapes, byte sizes, and prefix/suffix FLOPs for the given
-  /// input shape (use a batch of one for per-sample numbers), in the
-  /// same order as cuts().
-  std::vector<cut_info> cut_table(const shape& single_input) const;
-
   /// Runs children [begin, end) — forward() is forward_range over the
-  /// whole chain, so a prefix pass followed by a suffix pass performs
+  /// whole chain, so running the children one range at a time performs
   /// literally the same arithmetic as one full forward (bit-exact).
   tensor forward_range(const tensor& input, std::size_t begin,
                        std::size_t end, bool training);
-  tensor forward_prefix(const tensor& input, std::size_t boundary,
-                        bool training = false) {
-    return forward_range(input, 0, boundary, training);
-  }
-  tensor forward_suffix(const tensor& feature, std::size_t boundary,
-                        bool training = false) {
-    return forward_range(feature, boundary, children_.size(), training);
-  }
 
   const char* kind() const override { return "sequential"; }
   tensor forward(const tensor& input, bool training) override;
@@ -112,7 +67,6 @@ class sequential : public layer {
 
  private:
   std::vector<layer_ptr> children_;
-  std::vector<cut_point> cuts_;
 };
 
 }  // namespace appeal::nn

@@ -158,64 +158,6 @@ std::vector<std::size_t> network_cloud_backend::infer_batch(
   return predictions;
 }
 
-std::vector<std::size_t> network_cloud_backend::infer_batch_suffix(
-    const std::vector<const tensor*>& features, std::uint32_t cut_id) {
-  APPEAL_CHECK(!features.empty(), "cannot infer an empty batch");
-  const std::vector<nn::cut_point>& cuts = network_.cuts();
-  APPEAL_CHECK(cut_id >= 1 && cut_id <= cuts.size(),
-               "infer_batch_suffix: unknown split cut id");
-  const std::size_t boundary = cuts[cut_id - 1].boundary;
-  const tensor& first = *features.front();
-  APPEAL_CHECK(!first.empty(), "split appeal shipped an empty feature map");
-  std::vector<std::size_t> dims{features.size()};
-  for (std::size_t d = 0; d < first.dims().rank(); ++d) {
-    dims.push_back(first.dims().dim(d));
-  }
-  nn::inference_workspace& ws = nn::inference_workspace::local();
-  tensor batch = ws.acquire(shape(dims));
-  const std::size_t per_item = first.size();
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    APPEAL_CHECK(features[i]->size() == per_item,
-                 "all batch features must share one shape");
-    std::memcpy(batch.data() + i * per_item, features[i]->data(),
-                per_item * sizeof(float));
-  }
-  tensor logits = network_.forward_suffix(batch, boundary);
-  ws.recycle(std::move(batch));
-  std::vector<std::size_t> predictions = ops::argmax_rows(logits);
-  ws.recycle(std::move(logits));
-  return predictions;
-}
-
-tensor network_cloud_backend::prefix_feature(const tensor& input,
-                                             std::uint32_t cut_id) {
-  APPEAL_CHECK(!input.empty(), "network backend requires request inputs");
-  const std::vector<nn::cut_point>& cuts = network_.cuts();
-  APPEAL_CHECK(cut_id >= 1 && cut_id <= cuts.size(),
-               "prefix_feature: unknown split cut id");
-  const std::size_t boundary = cuts[cut_id - 1].boundary;
-  std::vector<std::size_t> dims{1};
-  for (std::size_t d = 0; d < input.dims().rank(); ++d) {
-    dims.push_back(input.dims().dim(d));
-  }
-  nn::inference_workspace& ws = nn::inference_workspace::local();
-  tensor batched = ws.acquire(shape(dims));
-  std::memcpy(batched.data(), input.data(), input.size() * sizeof(float));
-  tensor out = network_.forward_prefix(batched, boundary);
-  ws.recycle(std::move(batched));
-  // The feature outlives this call (it rides the in-flight request across
-  // threads), so copy it out of the workspace arena, dropping the [1, ...]
-  // batch dimension.
-  std::vector<std::size_t> feature_dims;
-  for (std::size_t d = 1; d < out.dims().rank(); ++d) {
-    feature_dims.push_back(out.dims().dim(d));
-  }
-  tensor feature(shape(std::move(feature_dims)),
-                 std::vector<float>(out.values().begin(), out.values().end()));
-  ws.recycle(std::move(out));
-  return feature;
-}
-
 std::size_t network_cloud_backend::infer(const request& r) {
   APPEAL_CHECK(!r.input.empty(), "network backend requires request inputs");
   std::vector<std::size_t> dims{1};

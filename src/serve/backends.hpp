@@ -45,12 +45,10 @@ class cloud_backend {
   virtual ~cloud_backend() = default;
   virtual std::size_t infer(const request& r) = 0;
 
-  /// Split-computing support: runs this backend's model prefix up to cut
-  /// `cut_id` (1-based index into its nn::sequential cut table) on one
-  /// [C, H, W] input and returns the per-sample feature map an appeal
-  /// ships instead of the input. The default returns an empty tensor —
-  /// "this backend cannot split" (replay/oracle clouds have no layers to
-  /// partition) — and the channel then falls back to raw-input appeals.
+  /// Returns an empty tensor. Nothing in src/ calls or overrides this:
+  /// appeals always ship the raw input. It stays only because
+  /// perfbench's traced backend (perfbench/src/spans.cpp) overrides it;
+  /// drop that override first, then this virtual.
   virtual tensor prefix_feature(const tensor& input, std::uint32_t cut_id);
 };
 
@@ -126,18 +124,6 @@ class network_cloud_backend : public cloud_backend {
   /// it, the predictions are bit-identical to N infer() calls; the batch
   /// just pays one im2col + GEMM per layer instead of N.
   std::vector<std::size_t> infer_batch(const std::vector<const tensor*>& inputs);
-
-  /// Suffix-only batched scoring of split-computing appeals: stacks the
-  /// feature maps shipped at cut `cut_id` and runs only the layers past
-  /// that cut's boundary. Prefix (on the sender's bit-identical model
-  /// copy) plus this suffix is forward_range over the same weights, so
-  /// the predictions equal full-recompute bit for bit.
-  std::vector<std::size_t> infer_batch_suffix(
-      const std::vector<const tensor*>& features, std::uint32_t cut_id);
-
-  tensor prefix_feature(const tensor& input, std::uint32_t cut_id) override;
-
-  nn::sequential& network() { return network_; }
 
  private:
   std::unique_ptr<nn::sequential> owned_;

@@ -35,14 +35,6 @@ obs::label_set link_labels(const std::string& name) {
   return {{"link", name}};
 }
 
-/// The split instruments join the deployment-labeled family (the
-/// channel's name IS its deployment's name), so one scrape correlates
-/// the active cut with that deployment's request ledgers.
-obs::label_set deployment_labels(const std::string& name) {
-  if (name.empty()) return {};
-  return {{"deployment", name}};
-}
-
 }  // namespace
 
 const char* breaker_state_name(breaker_state s) {
@@ -73,31 +65,9 @@ cloud_channel::cloud_channel(cloud_backend& backend,
           "overloaded answers received from the cloud")),
       metric_breaker_(obs::default_registry().get_gauge(
           "appeal_breaker_state", link_labels(name_),
-          "cloud-link circuit breaker (0 closed, 1 open, 2 half-open)")),
-      metric_split_cut_(obs::default_registry().get_gauge(
-          "appeal_split_cut", deployment_labels(name_),
-          "active split-computing cut id (0 = raw-input appeals)")),
-      metric_split_bytes_saved_(obs::default_registry().get_counter(
-          "appeal_split_bytes_saved_total", deployment_labels(name_),
-          "uplink bytes saved by shipping feature maps instead of inputs")) {
+          "cloud-link circuit breaker (0 closed, 1 open, 2 half-open)")) {
   APPEAL_CHECK(config_.coalesce_window_ms >= 0.0,
                "coalesce window must be non-negative");
-  if (config_.split.mode != split_mode::off) {
-    APPEAL_CHECK(!config_.split.cuts.empty(),
-                 "split mode needs the cloud model's cut table "
-                 "(serve::enumerate_cloud_cuts)");
-    for (std::size_t i = 0; i < config_.split.cuts.size(); ++i) {
-      APPEAL_CHECK(config_.split.cuts[i].id == i + 1,
-                   "split cut table must carry contiguous 1-based ids");
-    }
-    if (config_.split.mode == split_mode::fixed) {
-      APPEAL_CHECK(config_.split.cut >= 1 &&
-                       config_.split.cut <= config_.split.cuts.size(),
-                   "fixed split cut id outside the cut table");
-    }
-    cut_rejected_.assign(config_.split.cuts.size(), false);
-  }
-  metric_split_cut_.set(0.0);
   APPEAL_CHECK(config_.breaker_open_ms > 0.0,
                "breaker cool-off must be positive");
   config_.max_batch_appeals = std::max<std::size_t>(1, cfg.max_batch_appeals);
@@ -182,11 +152,7 @@ link_counters cloud_channel::counters() const {
   c.retries = retries_;
   c.overloaded = overloaded_;
   c.breaker_opens = breaker_opens_;
-  c.split_appeals = split_appeals_;
-  c.split_bytes_saved = split_bytes_saved_;
-  c.split_rejected = split_rejected_;
   c.breaker = static_cast<std::uint8_t>(breaker_);
-  c.split_cut = active_cut_;
   return c;
 }
 
@@ -314,69 +280,20 @@ void cloud_channel::run() {
     // while still locked (the unordered_map's node storage never moves,
     // and sending_ids_ pins these entries against concurrent extraction
     // by the failure paths while the send path reads them off-lock).
-    std::vector<request*> mutable_batch;
     std::vector<const request*> batch;
-    mutable_batch.reserve(take);
     batch.reserve(take);
     for (const std::uint64_t id : wire_ids) {
-      request* r = &in_flight_.at(id).req;
-      mutable_batch.push_back(r);
-      batch.push_back(r);
+      batch.push_back(&in_flight_.at(id).req);
     }
     sending_ids_ = wire_ids;
     if (probing) probe_in_flight_ = true;
-    const std::uint32_t cut = choose_cut_locked();
     // Raw pointer captured under the lock: a reader-thread failure may
     // retire the unique_ptr mid-send, but the object itself is only
     // disposed on this thread (dispose_retired), so it outlives the call.
     cloud_transport* link = transport_.get();
     lock.unlock();
 
-    // Split appeals: run the cloud model's prefix here, before the send,
-    // and attach the feature map the frame will carry instead of the
-    // input. Off-lock is safe — sending_ids_ pins these entries against
-    // every failure-path extraction, and nothing has hit the wire yet so
-    // no completion can race in. The fallback mutex serializes against
-    // concurrent local scoring on the same (not thread-safe) backend.
-    bool split_failed = false;
-    std::size_t split_count = 0;
-    std::size_t bytes_saved = 0;
-    if (cut != 0) {
-      std::lock_guard<std::mutex> fb(fallback_mutex_);
-      for (request* r : mutable_batch) {
-        if (r->input.empty()) {  // nothing to partition (replay workload)
-          r->split_cut = 0;
-          continue;
-        }
-        // A retry may already carry the feature from its last attempt;
-        // recompute only when the cut moved under it.
-        if (r->split_cut != cut || r->feature.empty()) {
-          tensor feature = backend_.prefix_feature(r->input, cut);
-          if (feature.empty()) {
-            split_failed = true;  // backend cannot split; never try again
-            break;
-          }
-          r->feature = std::move(feature);
-          r->split_cut = cut;
-        }
-        ++split_count;
-        const std::size_t raw = r->input.size() * sizeof(float);
-        const std::size_t shipped = r->feature.size() * sizeof(float) + 4;
-        bytes_saved += raw > shipped ? raw - shipped : 0;
-      }
-    }
-    if (split_failed) {
-      for (request* r : mutable_batch) {
-        r->split_cut = 0;
-        r->feature = {};
-      }
-      split_count = 0;
-      bytes_saved = 0;
-    }
-
     bool sent = false;
-    const std::size_t bytes_before =
-        link != nullptr ? link->counters().bytes_sent : 0;
     if (link != nullptr) {
       try {
         // May block while the link is busy — exactly the window in which
@@ -391,10 +308,6 @@ void cloud_channel::run() {
     }
     lock.lock();
     sending_ids_.clear();
-    if (split_failed && split_supported_) {
-      split_supported_ = false;
-      choose_cut_locked();
-    }
     if (sent) {
       // Stamp the wire-tx window on whatever this batch still has in
       // flight. An appeal the cloud already answered mid-send missed the
@@ -403,22 +316,6 @@ void cloud_channel::run() {
       for (const std::uint64_t id : wire_ids) {
         auto it = in_flight_.find(id);
         if (it != in_flight_.end()) it->second.tx_ms = tx_ms;
-      }
-      // Measured link bandwidth: encoded bytes this send put on the wire
-      // over the time send_batch held the link. Feeds the auto-mode cut
-      // picker; skipped when the send was too fast to time honestly.
-      const std::size_t sent_bytes =
-          link->counters().bytes_sent - bytes_before;
-      if (tx_ms > 0.05 && sent_bytes > 0) {
-        const double bw = static_cast<double>(sent_bytes) / tx_ms;
-        bw_ema_bytes_per_ms_ = bw_ema_bytes_per_ms_ == 0.0
-                                   ? bw
-                                   : 0.8 * bw_ema_bytes_per_ms_ + 0.2 * bw;
-      }
-      if (split_count > 0) {
-        split_appeals_ += split_count;
-        split_bytes_saved_ += bytes_saved;
-        metric_split_bytes_saved_.add(bytes_saved);
       }
     }
     // drain() also waits out the send window (sending_ids_); completions
@@ -660,79 +557,6 @@ double cloud_channel::backoff_delay_ms(std::size_t attempts, double hint) {
   return std::max(hint, d);  // never retry before the cloud asked us to
 }
 
-std::uint32_t cloud_channel::choose_cut_locked() {
-  if (config_.split.mode == split_mode::off || !split_supported_) {
-    if (active_cut_ != 0) {
-      active_cut_ = 0;
-      metric_split_cut_.set(0.0);
-    }
-    return 0;
-  }
-  std::uint32_t chosen = 0;
-  if (config_.split.mode == split_mode::fixed) {
-    const std::uint32_t cut = config_.split.cut;
-    chosen = cut_rejected_[cut - 1] ? 0 : cut;
-  } else {
-    // Auto: minimize modeled appeal latency per candidate. Uplink is the
-    // encoded payload at the measured bandwidth (the cost model's
-    // comm_ms_per_kb until the first send warms the EMA); cloud compute
-    // is the suffix past the cut; the cloud-wait EMA rides every
-    // candidate equally but keeps the cost an honest latency estimate.
-    // Edge prefix compute is NOT charged — the cut reuses backbone
-    // compute the edge already paid for.
-    const auto uplink_ms = [&](double bytes) {
-      return bw_ema_bytes_per_ms_ > 0.0
-                 ? bytes / bw_ema_bytes_per_ms_
-                 : bytes / 1024.0 * link_.comm_ms_per_kb;
-    };
-    const double flops_per_ms = link_.cloud_gflops * 1e6;
-    const split_cut_spec& first = config_.split.cuts.front();
-    const double full_flops =
-        static_cast<double>(first.prefix_flops + first.suffix_flops);
-    // Candidate 0: raw input, full recompute.
-    double best_cost = uplink_ms(link_.input_kb * 1024.0) +
-                       full_flops / flops_per_ms + cloud_wait_ema_ms_;
-    for (const split_cut_spec& c : config_.split.cuts) {
-      if (cut_rejected_[c.id - 1]) continue;
-      // +4: the cut_id u32 a split record adds to the frame.
-      const double cost =
-          uplink_ms(static_cast<double>(c.wire_bytes) + 4.0) +
-          static_cast<double>(c.suffix_flops) / flops_per_ms +
-          cloud_wait_ema_ms_;
-      if (cost < best_cost) {
-        best_cost = cost;
-        chosen = c.id;
-      }
-    }
-  }
-  if (chosen != active_cut_) {
-    APPEAL_LOG_INFO("cloud_channel")
-        << "split cut changed" << util::kv("link", name_)
-        << util::kv("cut", static_cast<std::size_t>(chosen))
-        << util::kv(
-               "name",
-               chosen == 0 ? "raw-input"
-                           : config_.split.cuts[chosen - 1].name.c_str());
-    active_cut_ = chosen;
-    metric_split_cut_.set(static_cast<double>(chosen));
-  }
-  return chosen;
-}
-
-void cloud_channel::reject_cut_locked(std::uint32_t cut) {
-  ++split_rejected_;
-  if (cut == 0 || cut > cut_rejected_.size() || cut_rejected_[cut - 1]) {
-    return;
-  }
-  cut_rejected_[cut - 1] = true;
-  APPEAL_LOG_WARN("cloud_channel")
-      << "cloud rejected split cut; completing locally and "
-         "blacklisting it"
-      << util::kv("link", name_)
-      << util::kv("cut", static_cast<std::size_t>(cut));
-  if (active_cut_ == cut) choose_cut_locked();
-}
-
 void cloud_channel::on_completions(
     std::uint64_t epoch, std::vector<cloud_transport::completion>&& batch) {
   std::vector<std::pair<in_flight, appeal_outcome>> done;
@@ -762,14 +586,6 @@ void cloud_channel::on_completions(
                    overload_streak_ >= config_.breaker_threshold) {
           open_breaker_locked(/*retire=*/false, "consecutive overloads");
         }
-        // An overload's retry-after hint IS the cloud's queue-wait
-        // estimate; fold it into the wait EMA the cut picker charges.
-        if (c.retry_after_ms > 0.0) {
-          cloud_wait_ema_ms_ = cloud_wait_ema_ms_ == 0.0
-                                   ? c.retry_after_ms
-                                   : 0.8 * cloud_wait_ema_ms_ +
-                                         0.2 * c.retry_after_ms;
-        }
         const clock::time_point now = clock::now();
         const clock::time_point due =
             now + from_ms(backoff_delay_ms(entry.attempts, c.retry_after_ms));
@@ -794,9 +610,9 @@ void cloud_channel::on_completions(
           fallback.push_back(std::move(entry));
         }
       } else {
-        // Any scored/expired/rejected answer proves the peer alive: the
+        // Any scored or expired answer proves the peer alive: the
         // overload streak resets and a half-open probe re-closes the
-        // breaker even when its own cut was rejected.
+        // breaker.
         overload_streak_ = 0;
         if (breaker_ == breaker_state::half_open) {
           probe_in_flight_ = false;
@@ -805,21 +621,6 @@ void cloud_channel::on_completions(
               << "circuit breaker closed; cloud link recovered"
               << util::kv("link", name_);
           wake_.notify_all();
-        }
-        if (c.rejected) {
-          // The peer's model cannot score this cut; answer from the
-          // local copy and never ship the cut again.
-          in_flight entry = std::move(it->second);
-          in_flight_.erase(it);
-          reject_cut_locked(entry.req.split_cut);
-          fallback.push_back(std::move(entry));
-          continue;
-        }
-        if (c.cloud_queue_ms > 0.0) {
-          cloud_wait_ema_ms_ = cloud_wait_ema_ms_ == 0.0
-                                   ? c.cloud_queue_ms
-                                   : 0.8 * cloud_wait_ema_ms_ +
-                                         0.2 * c.cloud_queue_ms;
         }
         appeal_outcome outcome;
         outcome.prediction = c.prediction;

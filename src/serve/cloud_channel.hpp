@@ -32,18 +32,9 @@
 // Serving therefore degrades under overload and RECOVERS when the cloud
 // comes back, instead of staying edge-only for the rest of the run.
 //
-// Split-computing appeals (link_config::split): instead of re-uploading
-// the raw input, the channel can run the canonical cloud model's PREFIX
-// on the edge (its fallback backend is a bit-identical copy built from
-// the shared serve/cloud_model spec) and ship the intermediate feature
-// map at a named cut; the cloud scores only the suffix. Prefix + suffix
-// is forward_range over the same folded weights, so the answers are
-// bit-identical to full recompute while the wire carries fewer bytes.
-// `fixed` mode pins the cut; `auto` picks per batch from the paper's
-// cost model extended with the measured link bandwidth (EMA of encoded
-// bytes per send-occupancy ms) and the cloud's reported queue wait. A
-// `rejected` answer (the peer's model lacks the cut) completes
-// locally and blacklists that cut for the rest of the run.
+// Every appeal ships its raw input, as in the AppealNet paper: the edge
+// runs only the little network, and the cloud scores the big one from
+// scratch.
 #pragma once
 
 #include <atomic>
@@ -198,18 +189,6 @@ class cloud_channel {
   /// Backoff for attempt `attempts` (0-based), jittered, never below the
   /// cloud's retry-after hint. Caller holds mutex_ (jitter_rng_).
   double backoff_delay_ms(std::size_t attempts, double hint);
-  /// Split cut for the next batch: 0 (raw input) when split is off or
-  /// unsupported; the configured cut in fixed mode; in auto mode the
-  /// candidate minimizing uplink(bytes @ measured-bandwidth EMA) + cloud
-  /// suffix compute + cloud-wait EMA. Edge prefix compute is NOT charged
-  /// — a cut reuses backbone compute the edge already paid for. Caller
-  /// holds mutex_.
-  std::uint32_t choose_cut_locked();
-  /// Marks a cut the cloud answered `rejected` so it is never shipped
-  /// again (no retry can fix a cut the peer's model lacks). Caller holds
-  /// mutex_.
-  void reject_cut_locked(std::uint32_t cut);
-
   cloud_backend& backend_;
   link_config config_;
   collab::cost_model link_;  // for rebuilding the transport on reconnect
@@ -261,23 +240,6 @@ class cloud_channel {
   std::size_t overloaded_ = 0;
   std::size_t breaker_opens_ = 0;
   std::size_t overload_streak_ = 0;  // consecutive overloaded answers
-  // --- split computing (config_.split; guarded by mutex_) ---
-  /// Cleared the first time backend_.prefix_feature returns empty (a
-  /// replay/oracle backend has no layers to partition); every later
-  /// appeal ships the raw input without re-trying.
-  bool split_supported_ = true;
-  std::uint32_t active_cut_ = 0;  // 0 = raw input
-  std::vector<bool> cut_rejected_;  // indexed by cut id - 1
-  /// Measured uplink bandwidth: EMA of encoded bytes / send_batch wall
-  /// time, fed on every successful send. 0 until the first measurement
-  /// (the cost model's comm_ms_per_kb stands in).
-  double bw_ema_bytes_per_ms_ = 0.0;
-  /// EMA of the cloud's reported work-queue wait (cloud_queue_ms on ok
-  /// answers, retry-after hints on overloads).
-  double cloud_wait_ema_ms_ = 0.0;
-  std::size_t split_appeals_ = 0;
-  std::size_t split_bytes_saved_ = 0;
-  std::size_t split_rejected_ = 0;
   breaker_state breaker_ = breaker_state::closed;
   std::chrono::steady_clock::time_point open_until_{};
   /// Half-open sends exactly one appeal at a time; set while that probe
@@ -295,8 +257,6 @@ class cloud_channel {
   obs::counter& metric_retries_;
   obs::counter& metric_overloaded_;
   obs::gauge& metric_breaker_;
-  obs::gauge& metric_split_cut_;
-  obs::counter& metric_split_bytes_saved_;
   std::thread worker_;
 };
 

@@ -34,33 +34,6 @@ std::unique_ptr<nn::sequential> make_cloud_model(
   return net;
 }
 
-std::vector<split_cut_spec> enumerate_cloud_cuts(
-    const cloud_model_config& cfg) {
-  // Build the model exactly as both link ends serve it (fold included) so
-  // the cut boundaries here are the boundaries prefix_feature and
-  // infer_batch_suffix will run.
-  const std::unique_ptr<nn::sequential> net = make_cloud_model(cfg);
-  // Layers shape-propagate in NCHW; walk a batch of one and strip the
-  // leading batch axis from the per-sample feature dims.
-  const shape input(
-      {1, cfg.spec.in_channels, cfg.spec.image_size, cfg.spec.image_size});
-  const std::vector<nn::cut_info> table = net->cut_table(input);
-  std::vector<split_cut_spec> cuts;
-  cuts.reserve(table.size());
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    split_cut_spec spec;
-    spec.id = static_cast<std::uint32_t>(i + 1);  // 0 = raw input
-    spec.name = table[i].name;
-    const std::vector<std::size_t>& dims = table[i].output.dims();
-    spec.feature_dims.assign(dims.begin() + 1, dims.end());
-    spec.wire_bytes = table[i].feature_bytes;
-    spec.prefix_flops = table[i].prefix_flops;
-    spec.suffix_flops = table[i].suffix_flops;
-    cuts.push_back(std::move(spec));
-  }
-  return cuts;
-}
-
 stub_server::scorer_factory make_network_scorer_factory(
     const cloud_model_config& cfg) {
   return [cfg](std::size_t) -> stub_server::batch_scorer_fn {
@@ -69,29 +42,14 @@ stub_server::scorer_factory make_network_scorer_factory(
     // inference workspace.
     auto backend =
         std::make_shared<network_cloud_backend>(make_cloud_model(cfg));
-    // Expected per-sample feature shape per cut id (1-based), for
-    // validating split appeals before the stacked suffix forward. The
-    // table walks NCHW with a batch of one; the wire tensors are
-    // per-sample, so drop the leading batch axis.
-    const shape single_input(
-        {1, cfg.spec.in_channels, cfg.spec.image_size, cfg.spec.image_size});
-    auto cut_shapes = std::make_shared<std::vector<std::vector<std::size_t>>>();
-    for (const nn::cut_info& c : backend->network().cut_table(single_input)) {
-      const std::vector<std::size_t>& dims = c.output.dims();
-      cut_shapes->push_back({dims.begin() + 1, dims.end()});
-    }
     const std::size_t classes = cfg.spec.num_classes;
-    return [backend, cut_shapes,
+    return [backend,
             classes](const std::vector<const wire::appeal_record*>& batch) {
       std::vector<std::size_t> out(batch.size(), 0);
-      // One stacked forward per (split cut, tensor shape): appeals from
-      // one deployment share both; a stub serving several deployments —
-      // or one mid-switch between cuts — still batches within each group.
-      // Cut 0 groups are raw inputs (full forward); cut > 0 groups are
-      // feature maps (suffix-only forward).
-      std::map<std::pair<std::uint32_t, std::vector<std::size_t>>,
-               std::vector<std::size_t>>
-          groups;
+      // One stacked forward per input shape (appeals from one deployment
+      // share a shape; a stub serving several deployments still batches
+      // within each).
+      std::map<std::vector<std::size_t>, std::vector<std::size_t>> groups;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         const wire::appeal_record& a = *batch[i];
         if (a.input.empty()) {
@@ -99,27 +57,18 @@ stub_server::scorer_factory make_network_scorer_factory(
           // convention keeps the stub usable under them.
           out[i] =
               classes == 0 ? 0 : static_cast<std::size_t>(a.key % classes);
-        } else if (a.split_cut != 0 &&
-                   (a.split_cut > cut_shapes->size() ||
-                    a.input.dims().dims() != (*cut_shapes)[a.split_cut - 1])) {
-          // Unknown cut, or a feature shape that is not that cut's output
-          // — this model cannot score the appeal as sent, and no retry
-          // can fix it. Reject so the edge answers locally and stops
-          // shipping the cut.
-          out[i] = kRejectedPrediction;
         } else {
-          groups[{a.split_cut, a.input.dims().dims()}].push_back(i);
+          groups[a.input.dims().dims()].push_back(i);
         }
       }
-      for (const auto& [key, indices] : groups) {
+      for (const auto& [dims, indices] : groups) {
         std::vector<const tensor*> inputs;
         inputs.reserve(indices.size());
         for (const std::size_t i : indices) {
           inputs.push_back(&batch[i]->input);
         }
         const std::vector<std::size_t> predictions =
-            key.first == 0 ? backend->infer_batch(inputs)
-                           : backend->infer_batch_suffix(inputs, key.first);
+            backend->infer_batch(inputs);
         for (std::size_t j = 0; j < indices.size(); ++j) {
           out[indices[j]] = predictions[j];
         }

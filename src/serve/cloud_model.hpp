@@ -16,7 +16,6 @@
 
 #include "models/model_spec.hpp"
 #include "nn/sequential.hpp"
-#include "serve/split.hpp"
 #include "serve/transport/stub_server.hpp"
 
 namespace appeal::serve {
@@ -49,26 +48,13 @@ struct cloud_model_config {
 /// network_cloud_backend or make_network_scorer_factory.
 std::unique_ptr<nn::sequential> make_cloud_model(const cloud_model_config& cfg);
 
-/// The split-computing candidate table of `cfg`'s model: one
-/// split_cut_spec per named cut (1-based ids matching wire cut_ids), with
-/// the feature shape, wire bytes, and prefix/suffix FLOPs at each. Built
-/// from the model exactly as both link ends serve it — after the fold —
-/// so the boundaries agree with what prefix_feature/infer_batch_suffix
-/// run. This is the single source of truth the channel's cut picker and
-/// the stub's suffix scorer share.
-std::vector<split_cut_spec> enumerate_cloud_cuts(const cloud_model_config& cfg);
-
 /// Scorer factory for stub_server: each worker gets its own model built
 /// from `cfg` (forwards use thread-local workspaces; instances are not
 /// shared across workers). Appeals score as ONE stacked batch per
-/// (split cut, shape) group — network_cloud_backend's batch paths — so a
-/// cloud batch pays one im2col + GEMM per layer; split appeals run only
-/// the suffix past their cut. Appeals without a tensor payload answer
-/// key % num_classes (replay workloads carry no pixels; the convention
-/// the argmax scorer uses). Split appeals whose cut id or feature shape
-/// matches no cut of this model answer kRejectedPrediction — the stub
-/// turns that into response_status::rejected and the edge falls back to
-/// its local copy.
+/// same-shape group — network_cloud_backend's batch path — so a cloud
+/// batch pays one im2col + GEMM per layer. Appeals without a tensor
+/// payload answer key % num_classes (replay workloads carry no pixels;
+/// the convention the argmax scorer uses).
 stub_server::scorer_factory make_network_scorer_factory(
     const cloud_model_config& cfg);
 

@@ -45,20 +45,6 @@ void validate(const deployment_config& cfg) {
                "pipeline appeal_queue_depth must be positive");
   APPEAL_CHECK(cfg.shard.batching.max_batch_size > 0,
                "max_batch_size must be positive");
-  // Split-computing knobs (shard.channel.split): a mode other than `off`
-  // needs the cloud model's cut table, and a fixed cut must name an
-  // entry in it. The cloud_channel re-checks these, but a deployment
-  // should refuse a bad config before building any resource.
-  const split_config& split = cfg.shard.channel.split;
-  if (split.mode != split_mode::off) {
-    APPEAL_CHECK(!split.cuts.empty(),
-                 "split_mode needs the cloud model's cut table "
-                 "(serve::enumerate_cloud_cuts)");
-    if (split.mode == split_mode::fixed) {
-      APPEAL_CHECK(split.cut >= 1 && split.cut <= split.cuts.size(),
-                   "split_cut must name an entry of the cut table");
-    }
-  }
 }
 
 edge_precision parse_edge_precision(const std::string& name) {

@@ -57,11 +57,7 @@ struct deployment_config {
   /// `shard.queue_capacity` (the request queue work waits in), and
   /// `shard.pipeline` (the bounded hand-off queues between pipeline
   /// stages) — are validated by the deployment constructor; see
-  /// validate(). Split-computing appeals are configured through
-  /// `shard.channel.split`: `mode` (off | fixed | auto), `cut` (the
-  /// pinned cut id in fixed mode), and `cuts` (the canonical cloud
-  /// model's cut table from serve::enumerate_cloud_cuts — mandatory for
-  /// any mode but off, so both link ends share one source of truth).
+  /// validate().
   engine_config shard;
   routing_policy routing = routing_policy::key_affine;
   /// Edge inference precision (metadata: the edge backend factory must

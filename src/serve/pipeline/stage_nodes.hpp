@@ -18,10 +18,9 @@
 //                        egress.
 //
 // The work items between stages are typed (batch → scored_batch →
-// appeal_item), so a future stage — the ROADMAP's split-computing appeal
-// (forwarding intermediate activations instead of inputs) or a
-// peer-appeal tier between edge and cloud — slots in by defining its
-// item type and queue without touching the neighbours' internals.
+// appeal_item), so a future stage — say, a peer-appeal tier between edge
+// and cloud — slots in by defining its item type and queue without
+// touching the neighbours' internals.
 //
 // Trace-stage attribution is preserved across the queue hops: batch_form
 // absorbs the formed batch's wait for an edge worker, decide absorbs the

@@ -92,13 +92,6 @@ struct request {
   /// majority). Stages are stamped at each boundary; the engine
   /// finalizes and hands it to the trace collector at completion.
   std::unique_ptr<obs::trace_span> trace;
-
-  // --- split-computing appeal state (set by the cloud_channel) ---
-  /// When > 0, `feature` holds the cloud model's prefix activation at
-  /// that cut and the wire ships it instead of `input`; `input` stays
-  /// populated for the fallback/retry paths (which recompute in full).
-  std::uint32_t split_cut = 0;
-  tensor feature;
 };
 
 }  // namespace appeal::serve

@@ -79,8 +79,8 @@ struct stats_snapshot {
   double mean_cloud_ms = 0.0;
 
   /// The deployment's cloud link over the same window (wire batches and
-  /// bytes, fallbacks, retries, breaker, split appeals). All zero when
-  /// the serve_stats has no channel.
+  /// bytes, fallbacks, retries, breaker). All zero when the serve_stats
+  /// has no channel.
   link_counters link;
 
   /// Everything that entered submit() and has completed by now (any

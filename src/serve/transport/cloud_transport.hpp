@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "serve/request.hpp"
-#include "serve/split.hpp"
 
 namespace appeal::collab {
 struct cost_model;
@@ -95,11 +94,6 @@ struct link_config {
   /// transport/fault_transport.hpp for the grammar, e.g.
   /// "drop=0.05,delay_ms=1,dup=0.02,kill_at=40,seed=7".
   std::string fault;
-
-  /// Split-computing appeal policy (see serve/split.hpp): whether appeals
-  /// ship raw inputs or intermediate feature maps, and the candidate cut
-  /// table of the deployment's canonical cloud model.
-  split_config split;
 };
 
 /// Wire-level counters every transport keeps (the simulator reports the
@@ -127,14 +121,9 @@ struct link_counters {
   std::size_t retries = 0;        // overloaded appeals re-sent after backoff
   std::size_t overloaded = 0;     // overloaded answers received
   std::size_t breaker_opens = 0;  // breaker closed -> open transitions
-  std::size_t split_appeals = 0;  // appeals shipped as feature maps
-  std::size_t split_bytes_saved = 0;  // uplink bytes saved vs raw input
-  std::size_t split_rejected = 0;     // split appeals the cloud rejected
   /// Breaker state at capture time (a state, not a counter: since()
   /// keeps the current value rather than differencing it).
   std::uint8_t breaker = 0;
-  /// Active split cut at capture time (a state like `breaker`).
-  std::uint32_t split_cut = 0;
 
   /// Counters accumulated since `baseline` was captured (how
   /// serve_stats keeps the wire statistics in its measurement window).
@@ -149,9 +138,6 @@ struct link_counters {
     d.retries -= baseline.retries;
     d.overloaded -= baseline.overloaded;
     d.breaker_opens -= baseline.breaker_opens;
-    d.split_appeals -= baseline.split_appeals;
-    d.split_bytes_saved -= baseline.split_bytes_saved;
-    d.split_rejected -= baseline.split_rejected;
     return d;
   }
 };
@@ -177,10 +163,6 @@ class cloud_transport {
     /// retry_after_ms or completes it locally.
     bool overloaded = false;
     double retry_after_ms = 0.0;
-    /// The cloud could not score this appeal as sent (unknown
-    /// split cut id or a feature shape that matches no cut). The channel
-    /// completes it locally and stops shipping that cut.
-    bool rejected = false;
   };
   using completion_sink = std::function<void(std::vector<completion>&&)>;
   using failure_sink = std::function<void()>;

@@ -47,9 +47,7 @@ void sim_transport::send_batch(const std::vector<const request*>& batch,
   APPEAL_CHECK(batch.size() == wire_ids.size(),
                "one wire id per appeal required");
   // Occupancy backpressure: wait for the radio, then hold it for the
-  // batch's serialized transmission — timed from the ACTUAL encoded frame
-  // size, so a split appeal shipping a small feature map pays
-  // proportionally less uplink than one shipping the raw input.
+  // batch's serialized transmission, timed from the encoded frame size.
   const clock::time_point now = clock::now();
   const clock::time_point send_start = std::max(now, link_free_at_);
   if (send_start > now) std::this_thread::sleep_until(send_start);
@@ -60,8 +58,6 @@ void sim_transport::send_batch(const std::vector<const request*>& batch,
     v.id = wire_ids[i];
     v.key = batch[i]->key;
     v.label = batch[i]->label;
-    v.split_cut = batch[i]->split_cut;
-    v.feature = &batch[i]->feature;
     v.model = model;
     v.input = &batch[i]->input;
     bytes += wire::appeal_wire_bytes(v);
@@ -77,9 +73,7 @@ void sim_transport::send_batch(const std::vector<const request*>& batch,
   s.batch.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     // The local big model scores inline, off every lock (it may be
-    // arbitrarily expensive). Split appeals score by full recompute from
-    // the raw input the request still carries — the backend is the same
-    // bit-identical model, so the answer matches the suffix path.
+    // arbitrarily expensive).
     s.batch.push_back(completion{wire_ids[i], backend_.infer(*batch[i])});
   }
 

@@ -2,11 +2,8 @@
 // cloud_transport among three).
 //
 // Timing comes from the collab::cost_model latency coefficients:
-//   transmit = encoded_frame_kb * comm_ms_per_kb  (serialized; the ACTUAL
-//              wire size of the batch, so a split appeal shipping a small
-//              feature map pays proportionally less uplink than one
-//              shipping the raw input — without this the cost model could
-//              never prefer a cut in simulation)
+//   transmit = encoded_frame_kb * comm_ms_per_kb  (serialized; the
+//              actual wire size of the batch)
 //   overlap  = comm_round_trip_ms + cloud_mflops/cloud_gflops (pipelined)
 // send_batch() *blocks until the link is free* — that occupancy is the
 // backpressure that makes the channel's coalescing observable even in

@@ -69,11 +69,6 @@ void socket_transport::send_batch(const std::vector<const request*>& batch,
     v.priority = batch[i]->priority;
     v.deadline_ms = remaining_deadline_ms(*batch[i]);
     v.trace_id = batch[i]->trace != nullptr ? batch[i]->trace->trace_id : 0;
-    // Split appeals ship the precomputed feature map; the encoder falls
-    // back to the raw input whenever the feature is absent, so the view
-    // always carries both.
-    v.split_cut = batch[i]->split_cut;
-    v.feature = &batch[i]->feature;
     v.model = model;
     v.input = &batch[i]->input;
     views.push_back(v);
@@ -137,7 +132,6 @@ void socket_transport::reader_loop() {
           c.cloud_score_ms = r.cloud_score_ms;
           c.expired = r.status == wire::response_status::expired;
           c.overloaded = r.status == wire::response_status::overloaded;
-          c.rejected = r.status == wire::response_status::rejected;
           c.retry_after_ms = r.retry_after_ms;
           done.push_back(c);
         }

@@ -440,15 +440,7 @@ void stub_server::scorer_loop(const batch_scorer_fn& score) {
       for (std::size_t i = 0; i < live.size(); ++i) {
         wire::response_record r;
         r.id = live[i]->record.id;
-        if (predictions[i] == kRejectedPrediction) {
-          // The scorer could not score this appeal as sent (unknown split
-          // cut / feature shape). Tell the edge to answer locally — no
-          // retry can fix a bad cut, so this is `rejected`, not
-          // `overloaded`.
-          r.status = wire::response_status::rejected;
-        } else {
-          r.prediction = predictions[i];
-        }
+        r.prediction = predictions[i];
         // Queue wait + scoring: what this appeal actually cost cloud-side
         // (the whole batch's scoring time is charged to each member — it
         // waited for the batch either way). The queue/score split lets the edge

@@ -200,13 +200,6 @@ class cloud_work_queue {
   std::size_t drained_ = 0;
 };
 
-/// Sentinel a scorer returns for an appeal it cannot score as sent
-/// (unknown split cut id, feature shape matching no cut). The stub
-/// answers such appeals with response_status::rejected instead of a
-/// prediction, and the edge completes them from its local copy.
-inline constexpr std::size_t kRejectedPrediction =
-    static_cast<std::size_t>(-1);
-
 class stub_server {
  public:
   /// Prediction for one appealed request.

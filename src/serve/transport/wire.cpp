@@ -131,33 +131,19 @@ inline constexpr std::size_t kMinAppealBytes = 36 + 4 + 4;
 
 /// flags bit0: a trace_id u64 follows deadline_ms.
 inline constexpr std::uint8_t kAppealFlagTraced = 0x01;
-/// flags bit1: a cut_id u32 follows the (optional) trace_id, and the
-/// tensor payload is the feature map at that cut.
-inline constexpr std::uint8_t kAppealFlagSplit = 0x02;
-
-/// A split appeal needs a real feature tensor; without one it degrades
-/// to the raw input the receiver can always score.
-bool encodes_split(const appeal_view& a) {
-  return a.split_cut != 0 && a.feature != nullptr && a.feature->size() > 0;
-}
-
 void put_appeal(std::vector<std::uint8_t>& out, const appeal_view& a) {
   static const tensor kEmpty;
-  const bool split = encodes_split(a);
-  const tensor& t = split ? *a.feature
-                          : (a.input != nullptr ? *a.input : kEmpty);
+  const tensor& t = a.input != nullptr ? *a.input : kEmpty;
   APPEAL_CHECK(a.model.size() <= 0xFFFF, "deployment name too long for wire");
   const bool traced = a.trace_id != 0;
   put_u64(out, a.id);
   put_u64(out, a.key);
   put_u64(out, a.label);
   put_u8(out, static_cast<std::uint8_t>(a.priority));
-  put_u8(out, static_cast<std::uint8_t>((traced ? kAppealFlagTraced : 0) |
-                                        (split ? kAppealFlagSplit : 0)));
+  put_u8(out, traced ? kAppealFlagTraced : 0);
   put_u16(out, static_cast<std::uint16_t>(a.model.size()));
   put_f64(out, a.deadline_ms);
   if (traced) put_u64(out, a.trace_id);
-  if (split) put_u32(out, a.split_cut);
   put_u32(out, static_cast<std::uint32_t>(t.dims().rank()));
   for (const std::size_t d : t.dims().dims()) {
     put_u32(out, static_cast<std::uint32_t>(d));
@@ -178,16 +164,11 @@ void put_appeal(std::vector<std::uint8_t>& out, const appeal_view& a) {
 }  // namespace
 
 std::size_t appeal_wire_bytes(const appeal_view& a) {
-  const bool split = encodes_split(a);
-  const tensor* payload = split ? a.feature : a.input;
-  const std::size_t rank = payload != nullptr ? payload->dims().rank() : 0;
-  const std::size_t values = payload != nullptr ? payload->size() : 0;
+  const std::size_t rank = a.input != nullptr ? a.input->dims().rank() : 0;
+  const std::size_t values = a.input != nullptr ? a.input->size() : 0;
   const std::size_t trace = a.trace_id != 0 ? 8 : 0;
-  const std::size_t cut = split ? 4 : 0;
-  // Fixed fields + optional trace id + optional cut id + dims + name +
-  // floats.
-  return kMinAppealBytes + trace + cut + 4 * rank + a.model.size() +
-         4 * values;
+  // Fixed fields + optional trace id + dims + name + floats.
+  return kMinAppealBytes + trace + 4 * rank + a.model.size() + 4 * values;
 }
 
 std::vector<std::uint8_t> encode_appeal_batch(
@@ -239,14 +220,11 @@ std::vector<appeal_record> decode_appeal_batch(const frame& f) {
                  "wire appeal carries an unknown priority class");
     a.priority = static_cast<priority_class>(prio);
     const std::uint8_t flags = c.u8();
+    APPEAL_CHECK((flags & ~kAppealFlagTraced) == 0,
+                 "wire appeal sets a reserved flag bit");
     const std::uint16_t model_len = c.u16();
     a.deadline_ms = c.f64();
     if ((flags & kAppealFlagTraced) != 0) a.trace_id = c.u64();
-    if ((flags & kAppealFlagSplit) != 0) {
-      a.split_cut = c.u32();
-      APPEAL_CHECK(a.split_cut != 0,
-                   "wire split appeal carries cut id 0 (raw input)");
-    }
     const std::uint32_t rank = c.u32();
     APPEAL_CHECK(rank <= 8, "wire tensor rank implausibly large");
     // No tensor a frame can carry has more floats than the frame cap;
@@ -289,8 +267,9 @@ std::vector<response_record> decode_response_batch(const frame& f) {
     r.id = c.u64();
     r.prediction = c.u64();
     const std::uint8_t status = c.u8();
-    APPEAL_CHECK(status <= static_cast<std::uint8_t>(response_status::rejected),
-                 "wire response carries an unknown status");
+    APPEAL_CHECK(
+        status <= static_cast<std::uint8_t>(response_status::overloaded),
+        "wire response carries an unknown status");
     r.status = static_cast<response_status>(status);
     r.cloud_ms = c.f64();
     r.cloud_queue_ms = c.f64();

@@ -16,15 +16,13 @@
 // An appeal_batch payload holds `count` appeal records:
 //
 //   id u64 · key u64 · label u64 · priority u8 · flags u8 ·
-//   model_len u16 · deadline_ms f64 · [trace_id u64] · [cut_id u32] ·
-//   rank u32 · dims u32 × rank · values u32 · model · f32 × values
+//   model_len u16 · deadline_ms f64 · [trace_id u64] · rank u32 ·
+//   dims u32 × rank · values u32 · model · f32 × values
 //
-//   - flags bit0 ("traced"): a trace_id follows deadline_ms, propagating
-//     a sampled trace span across the link;
-//   - flags bit1 ("split"): a cut_id follows, and the tensor is the
-//     intermediate feature map at that cut of the canonical cloud model
-//     (cut ids are 1-based indices into its nn::sequential cut table),
-//     not the raw input; the cloud scores only the suffix.
+// flags bit0 ("traced"): a trace_id follows deadline_ms, propagating a
+// sampled trace span across the link. Every other flag bit is reserved
+// and must be zero; the decoder rejects a record that sets one. The
+// tensor is always the raw input: the cloud scores the whole big model.
 //
 // A response_batch payload holds `count` response records:
 //
@@ -79,10 +77,6 @@ struct appeal_record {
   double deadline_ms = -1.0;
   /// Trace span id riding the appeal (flags bit0); 0 = unsampled.
   std::uint64_t trace_id = 0;
-  /// Split-computing cut id (flags bit1); 0 = raw-input appeal.
-  /// When > 0, `input` holds the feature map at that cut of the canonical
-  /// cloud model and the receiver scores only the suffix.
-  std::uint32_t split_cut = 0;
   std::string model;  // deployment name
   tensor input;       // may be empty (replay workloads ship no pixels)
 };
@@ -96,11 +90,6 @@ struct appeal_view {
   priority_class priority = priority_class::interactive;
   double deadline_ms = -1.0;
   std::uint64_t trace_id = 0;  // 0 = unsampled (not encoded)
-  /// Split-computing appeal: ship `*feature` tagged with `split_cut`
-  /// instead of the input. A null or empty feature falls back to the raw
-  /// input, which the receiver can always score by full recompute.
-  std::uint32_t split_cut = 0;
-  const tensor* feature = nullptr;
   std::string_view model;
   const tensor* input = nullptr;  // nullptr encodes as an empty tensor
 };
@@ -111,14 +100,11 @@ struct appeal_view {
 /// `overloaded` means the cloud refused the appeal without
 /// scoring — full work queue or a projected deadline miss — and the edge
 /// should back off (retry after retry_after_ms, or answer locally).
-/// `rejected` means the cloud could not score the appeal as
-/// sent — unknown split cut id or a feature shape matching no cut — and
-/// the edge should answer it locally (no retry can fix a bad cut).
+/// Any other status byte is rejected by the decoder.
 enum class response_status : std::uint8_t {
   ok = 0,
   expired = 1,
   overloaded = 2,
-  rejected = 3,
 };
 
 struct response_record {
@@ -160,7 +146,8 @@ std::vector<std::uint8_t> encode_response_batch(
     const std::vector<response_record>& batch);
 
 /// Decodes the records of a validated frame. Throws util::error when the
-/// frame type does not match or a record overruns the payload.
+/// frame type does not match, a record overruns the payload, an appeal
+/// sets a reserved flag bit, or a response carries an unknown status.
 std::vector<appeal_record> decode_appeal_batch(const frame& f);
 std::vector<response_record> decode_response_batch(const frame& f);
 

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
+#include "core/two_head_network.hpp"
 #include "grad_check.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -16,6 +19,7 @@
 #include "nn/residual.hpp"
 #include "nn/sequential.hpp"
 #include "nn/squeeze_excite.hpp"
+#include "quant/quantize.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -402,6 +406,58 @@ TEST(sequential_container, end_to_end_gradients) {
   opts.epsilon = 5e-3F;
   opts.tolerance = 5e-2F;
   check_layer_gradients(net, random_input(shape{3, 2, 4, 4}, 60), gen, opts);
+}
+
+/// Runs `net` one child at a time through forward_range and checks the
+/// result against one forward() call, bit for bit.
+void expect_child_by_child_matches_forward(nn::sequential& net,
+                                           const tensor& input,
+                                           const std::string& what) {
+  const tensor full = net.forward(input, /*training=*/false);
+  tensor x = input;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    x = net.forward_range(x, i, i + 1, /*training=*/false);
+  }
+  ASSERT_EQ(x.dims(), full.dims()) << what;
+  EXPECT_EQ(std::memcmp(x.data(), full.data(), full.size() * sizeof(float)),
+            0)
+      << what << ": child-by-child output diverged from forward()";
+}
+
+TEST(sequential_container, child_by_child_forward_range_matches_forward) {
+  // perfbench times every child of the served networks this way, so the
+  // per-child chain must compute exactly what the served forward does.
+  const models::model_family families[] = {
+      models::model_family::resnet, models::model_family::mobilenet,
+      models::model_family::shufflenet, models::model_family::efficientnet};
+  util::rng gen(71);
+  for (const models::model_family family : families) {
+    core::two_head_config cfg;
+    cfg.spec.family = family;
+    cfg.spec.image_size = 16;
+    cfg.spec.num_classes = 10;
+    cfg.init_seed = 0xC07 + static_cast<std::uint64_t>(family);
+    core::two_head_network net(cfg);
+    net.prepare_for_inference();
+    const tensor images = tensor::rand_uniform(
+        shape{2, cfg.spec.in_channels, 16, 16}, gen, -1.0F, 1.0F);
+    expect_child_by_child_matches_forward(
+        net.extractor(), images,
+        "family " + std::to_string(static_cast<int>(family)));
+  }
+
+  core::two_head_config cfg;
+  cfg.spec.family = models::model_family::mobilenet;
+  cfg.spec.image_size = 16;
+  cfg.spec.num_classes = 10;
+  core::two_head_network net(cfg);
+  const tensor calibration = tensor::rand_uniform(
+      shape{8, cfg.spec.in_channels, 16, 16}, gen, -1.0F, 1.0F);
+  ASSERT_GT(quant::quantize_two_head(net, calibration).quantized, 0U);
+  const tensor images = tensor::rand_uniform(
+      shape{3, cfg.spec.in_channels, 16, 16}, gen, -1.0F, 1.0F);
+  expect_child_by_child_matches_forward(net.extractor(), images,
+                                        "int8 mobilenet");
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ TEST(wire, response_batch_round_trips_in_any_order) {
     wire::response_record r;
     r.id = id;
     r.prediction = 100 + id;
-    r.status = static_cast<wire::response_status>(batch.size());
+    r.status = static_cast<wire::response_status>(batch.size() % 3);
     r.cloud_ms = 0.5 * static_cast<double>(id);
     batch.push_back(r);
   }
@@ -112,7 +112,7 @@ TEST(wire, response_batch_round_trips_in_any_order) {
   const std::vector<wire::response_record> decoded =
       wire::decode_response_batch(*f);
   ASSERT_EQ(decoded.size(), batch.size());
-  EXPECT_EQ(decoded.back().status, wire::response_status::rejected);
+  EXPECT_EQ(decoded[2].status, wire::response_status::overloaded);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(decoded[i].id, batch[i].id);
     EXPECT_EQ(decoded[i].prediction, batch[i].prediction);
@@ -125,12 +125,17 @@ TEST(wire, rejects_unknown_response_status) {
   wire::response_record r;
   r.id = 1;
   r.prediction = 4;
-  std::vector<std::uint8_t> bytes = wire::encode_response_batch({r});
-  // The status byte sits after the header and id + prediction.
-  bytes[wire::kHeaderBytes + 16] = 0x7F;
-  const std::optional<wire::frame> f = split_one(bytes);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_THROW(wire::decode_response_batch(*f), util::error);
+  // 3 was the retired `rejected` status of split-computing appeals; a
+  // peer still sending it must fail loudly, like any unassigned status.
+  for (const std::uint8_t status : {3, 4, 0x7F, 0xFF}) {
+    std::vector<std::uint8_t> bytes = wire::encode_response_batch({r});
+    // The status byte sits after the header and id + prediction.
+    bytes[wire::kHeaderBytes + 16] = status;
+    const std::optional<wire::frame> f = split_one(bytes);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_THROW(wire::decode_response_batch(*f), util::error)
+        << "status " << int(status);
+  }
 }
 
 TEST(wire, splitter_assembles_frames_from_single_byte_reads) {
@@ -235,6 +240,17 @@ TEST(wire, rejects_truncated_and_tampered_records) {
     const std::optional<wire::frame> f = split_one(tampered);
     ASSERT_TRUE(f.has_value());
     EXPECT_THROW(wire::decode_appeal_batch(*f), util::error);
+  }
+  // Only flags bit0 (traced) is defined. Every other bit is reserved —
+  // bit1 once announced a split-computing cut id — and a record setting
+  // one must be rejected, not decoded with its fields misread.
+  for (int bit = 1; bit < 8; ++bit) {
+    std::vector<std::uint8_t> flagged = bytes;
+    // Offset: header + id/key/label (24) + priority (1) = flags byte.
+    flagged[wire::kHeaderBytes + 25] |= static_cast<std::uint8_t>(1 << bit);
+    const std::optional<wire::frame> f = split_one(flagged);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_THROW(wire::decode_appeal_batch(*f), util::error) << "bit " << bit;
   }
   {
     // Trailing garbage after the last record.
@@ -366,7 +382,7 @@ std::size_t decode_or_reject(const std::vector<std::uint8_t>& bytes) {
         for (const wire::response_record& r :
              wire::decode_response_batch(*f)) {
           EXPECT_LE(static_cast<int>(r.status),
-                    static_cast<int>(wire::response_status::rejected));
+                    static_cast<int>(wire::response_status::overloaded));
           ++records;
         }
       }
@@ -377,27 +393,19 @@ std::size_t decode_or_reject(const std::vector<std::uint8_t>& bytes) {
   return records;
 }
 
-/// The fuzzer's seed frames: an appeal batch mixing plain, unlabeled,
-/// traced, split, and traced+split records, and a response batch with
-/// every status.
-std::vector<std::vector<std::uint8_t>> seed_frames(const tensor& input,
-                                                   const tensor& feature) {
+/// The fuzzer's seed frames: an appeal batch mixing plain, unlabeled and
+/// traced records, and a response batch with every status.
+std::vector<std::vector<std::uint8_t>> seed_frames(const tensor& input) {
   std::vector<wire::appeal_view> views = make_views(input);
   wire::appeal_view traced = views[0];
   traced.id = 9;
   traced.trace_id = 0xABCDEF;
-  wire::appeal_view split = views[0];
-  split.id = 10;
-  split.split_cut = 2;
-  split.feature = &feature;
-  wire::appeal_view both = split;
-  both.id = 11;
-  both.trace_id = 77;
-  views.insert(views.end(), {traced, split, both});
+  views.push_back(traced);
 
   std::vector<wire::response_record> responses;
   for (std::uint8_t s = 0;
-       s <= static_cast<std::uint8_t>(wire::response_status::rejected); ++s) {
+       s <= static_cast<std::uint8_t>(wire::response_status::overloaded);
+       ++s) {
     wire::response_record r;
     r.id = 20 + s;
     r.prediction = s;
@@ -421,16 +429,14 @@ void put_le(std::vector<std::uint8_t>& bytes, std::size_t at,
 
 TEST(wire_fuzz, seed_frames_decode_cleanly) {
   const tensor input = make_tensor();
-  const tensor feature = tensor::from_values(shape{5}, {1, 2, 3, 4, 5});
-  const auto frames = seed_frames(input, feature);
-  EXPECT_EQ(decode_or_reject(frames[0]), 5U);
-  EXPECT_EQ(decode_or_reject(frames[1]), 4U);
+  const auto frames = seed_frames(input);
+  EXPECT_EQ(decode_or_reject(frames[0]), 3U);
+  EXPECT_EQ(decode_or_reject(frames[1]), 3U);
 }
 
 TEST(wire_fuzz, truncation_at_every_length) {
   const tensor input = make_tensor();
-  const tensor feature = tensor::from_values(shape{5}, {1, 2, 3, 4, 5});
-  for (const std::vector<std::uint8_t>& frame : seed_frames(input, feature)) {
+  for (const std::vector<std::uint8_t>& frame : seed_frames(input)) {
     for (std::size_t len = 0; len < frame.size(); ++len) {
       std::vector<std::uint8_t> cut(frame.begin(), frame.begin() + len);
       // A torn read: the splitter must wait for the rest, never yield.
@@ -447,8 +453,7 @@ TEST(wire_fuzz, truncation_at_every_length) {
 
 TEST(wire_fuzz, length_and_count_rewrites) {
   const tensor input = make_tensor();
-  const tensor feature = tensor::from_values(shape{5}, {1, 2, 3, 4, 5});
-  const auto frames = seed_frames(input, feature);
+  const auto frames = seed_frames(input);
   util::rng gen(17);
   // Offsets of the header's count and payload_bytes, and of the first
   // (plain) appeal record's model_len, rank, first dim and value count.
@@ -478,8 +483,7 @@ TEST(wire_fuzz, length_and_count_rewrites) {
 
 TEST(wire_fuzz, random_byte_flips) {
   const tensor input = make_tensor();
-  const tensor feature = tensor::from_values(shape{5}, {1, 2, 3, 4, 5});
-  const auto frames = seed_frames(input, feature);
+  const auto frames = seed_frames(input);
   util::rng gen(4242);
   std::size_t survived = 0;
   for (int iter = 0; iter < 4000; ++iter) {

@@ -30,12 +30,7 @@
 //                       serving_demo --save_big) or deterministically
 //                       initialized from --init_seed, conv+BN folded,
 //                       one instance per worker, appeals scored as
-//                       stacked batch forwards. Split-computing appeals
-//                       (a cut id + the feature map at that cut
-//                       of the shared canonical model) score suffix-only
-//                       from the same cut table; an unknown cut or a
-//                       mismatched feature shape is answered `rejected`
-//                       so the edge falls back to its local copy.
+//                       stacked batch forwards over the raw inputs.
 //
 // Run:  ./cloud_stub --listen=uds:/tmp/appeal-cloud.sock
 //       ./cloud_stub --listen=tcp:127.0.0.1:9410 --scorer=echo
