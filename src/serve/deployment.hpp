@@ -55,8 +55,8 @@ struct deployment_config {
   /// queue; `shard.shard_id` is overwritten per shard. The serving-scale
   /// knobs — `shard.num_workers` (edge threads per shard),
   /// `shard.queue_capacity` (the request queue work waits in), and
-  /// `shard.pipeline` (the bounded hand-off queues between pipeline
-  /// stages) — are validated by the deployment constructor; see
+  /// `shard.pipeline` (the bounded appeal hand-off queue) — are
+  /// validated by the deployment constructor; see
   /// validate().
   engine_config shard;
   routing_policy routing = routing_policy::key_affine;
@@ -69,8 +69,8 @@ struct deployment_config {
 };
 
 /// Rejects configurations that would deadlock or serve nothing: zero
-/// shards/workers, any zero-capacity queue (the request queue or a
-/// pipeline hand-off queue), a zero max batch size. Throws util::error;
+/// shards/workers, a zero-capacity queue (the request queue or the
+/// appeal hand-off queue), a zero max batch size. Throws util::error;
 /// the deployment constructor runs this before building any resource.
 /// (A cross-deployment `gemm_threads` conflict is NOT an error — the
 /// pool is process-global and the last writer wins — but the engine logs

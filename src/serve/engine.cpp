@@ -149,20 +149,15 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
       cloud_node_(cfg.stats.deployment, *channel_, *controller_, cfg.shard_id,
                   cfg.pipeline.appeal_queue_depth, completion()),
       decide_node_(cfg.stats.deployment, *controller_, cfg.shard_id,
-                   cfg.pipeline.decide_queue_depth, cloud_node_.input(),
-                   completion()),
-      edge_node_(cfg.stats.deployment, edge_backends_,
+                   cloud_node_.input(), completion()),
+      edge_node_(cfg.stats.deployment, queue_, cfg.batching, edge_backends_,
                  cfg.simulate_edge_compute,
                  config_.link.overall_latency_ms(1.0),
-                 cfg.channel.time_scale, cfg.pipeline.batch_queue_depth,
-                 decide_node_.input()),
-      batch_node_(cfg.stats.deployment, queue_, cfg.batching,
-                  edge_node_.input()),
+                 cfg.channel.time_scale, decide_node_),
       ingress_node_(cfg.stats.deployment, admission_, queue_, cfg.shard_id,
                     completion()) {
   apply_gemm_threads(config_);
   graph_.add(ingress_node_);
-  graph_.add(batch_node_);
   graph_.add(edge_node_);
   graph_.add(decide_node_);
   graph_.add(cloud_node_);
@@ -221,7 +216,8 @@ void engine::shutdown() {
     shut_down_ = true;
   }
   // Topological drain: each stage's input closes only after the previous
-  // stage finished pushing into it, so nothing in flight is stranded;
+  // stage finished pushing into it (the edge workers drain the closed
+  // request_queue, deciding inline), so nothing in flight is stranded;
   // the channel drain then waits out the appeals the sink handed off.
   graph_.drain_and_stop();
   channel_->drain();

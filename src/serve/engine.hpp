@@ -1,19 +1,20 @@
 // The online edge/cloud collaborative inference engine (one shard).
 //
-// The engine is a pipeline graph of five bounded, backpressured stages
-// (src/serve/pipeline/):
+// The engine is a pipeline graph of four stages (src/serve/pipeline/):
 //
 //   submit() -> [ingress]       admission verdict (block / shed / degrade)
-//            -> [batch_former]  request_queue -> dynamic batch
-//            -> [edge_infer]    worker pool, one edge_backend per thread
-//            -> [appeal_decide] deadline check + score >= δ
+//            -> [edge_infer]    worker pool, one edge_backend per thread;
+//                               each worker forms its own batch from the
+//                               request_queue
+//            -> [appeal_decide] deadline check + score >= δ, inline on
+//                               the worker that scored the batch
 //            -> [cloud_appeal]  cloud_channel -> cloud_backend
 //
 // Requests leave the graph (promise fulfilled, serve_stats fed) at three
 // egress points: ingress (admission shed), appeal_decide (edge-kept,
 // degraded, and expired), and cloud_appeal (appeals, including
-// cloud-expired ones). Every stage hand-off is a bounded node_queue, so
-// overload backs up hop by hop until admission sheds at the front door;
+// cloud-expired ones). The request_queue and the appeal queue are
+// bounded, so overload backs up until admission sheds at the front door;
 // per-node in/out/egress ledgers (appeal_node_* metrics) let a scrape
 // pinpoint the stage where traffic queues or leaks. The engine itself is
 // graph assembly + config + the completion path; the threshold_controller
@@ -26,11 +27,11 @@
 // per-deployment δ), and serve_stats (the per-deployment aggregation
 // point).
 //
-// Threading: `num_workers` edge-infer threads pull batches concurrently
-// (one backend per worker so stateful backends such as
-// network_edge_backend stay single-threaded, each with its thread-local
-// nn::inference_workspace arena); one batch-former thread, one decide
-// thread, one appeal hand-off thread, and the channel's transport threads
+// Threading: `num_workers` edge-infer threads (one backend per worker so
+// stateful backends such as network_edge_backend stay single-threaded,
+// each with its thread-local nn::inference_workspace arena) take turns
+// forming a batch, then run the forward and the δ decision on their own
+// thread; one appeal hand-off thread and the channel's transport threads
 // complete the picture.
 #pragma once
 
@@ -61,17 +62,12 @@ namespace appeal::serve {
 using worker_edge_factory =
     std::function<std::unique_ptr<edge_backend>(std::size_t worker)>;
 
-/// Capacities of the bounded queues between pipeline stages, in items of
-/// the stage's own granularity (formed batches, scored batches, single
-/// appeals). Small on purpose: the queues are hand-off points, not
-/// buffers — the request_queue (engine_config::queue_capacity) is where
-/// work waits, and a deep internal queue would only hide backpressure
-/// from admission.
+/// Capacity of the bounded queue between the decision and the cloud
+/// sink, in decided appeals. Small on purpose: it is a hand-off point,
+/// not a buffer — the request_queue (engine_config::queue_capacity) is
+/// where work waits, and a deep internal queue would only hide
+/// backpressure from admission.
 struct pipeline_config {
-  /// Formed batches awaiting an edge worker.
-  std::size_t batch_queue_depth = 4;
-  /// Scored batches awaiting the δ decision.
-  std::size_t decide_queue_depth = 8;
   /// Decided appeals awaiting hand-off to the cloud_channel.
   std::size_t appeal_queue_depth = 256;
 };
@@ -81,7 +77,7 @@ struct engine_config {
   std::size_t num_workers = 2;
   std::size_t queue_capacity = 1024;
   admission_config admission;     // full-queue policy at submit()
-  /// Bounded hand-off queues between the pipeline stages.
+  /// Bounded hand-off queue between the decision and the cloud sink.
   pipeline_config pipeline;
   threshold_config threshold;
   collab::cost_model link;        // cost model: edge/cloud compute + uplink
@@ -243,11 +239,10 @@ class engine {
   std::mutex shutdown_mutex_;
 
   // The graph, downstream stages first so each upstream node can take a
-  // reference to its successor's input queue at construction.
+  // reference to its successor at construction.
   pipeline::cloud_appeal_node cloud_node_;
   pipeline::appeal_decide_node decide_node_;
   pipeline::edge_infer_node edge_node_;
-  pipeline::batch_former_node batch_node_;
   pipeline::ingress_node ingress_node_;
   pipeline::pipeline_graph graph_;
 };

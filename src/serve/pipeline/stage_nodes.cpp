@@ -64,49 +64,22 @@ admission_verdict ingress_node::submit(request&& r) {
   return verdict;
 }
 
-// ----------------------------------------------------------- batch former
-
-batch_former_node::batch_former_node(const std::string& deployment,
-                                     request_queue& queue,
-                                     const batch_policy& policy,
-                                     node_queue<batch>& downstream)
-    : pipeline_node("batch_former", deployment),
-      queue_(queue),
-      policy_(policy),
-      downstream_(downstream) {}
-
-void batch_former_node::start() {
-  thread_ = std::thread([this] {
-    batcher form(queue_, policy_);
-    for (;;) {
-      batch b = form.next_batch();
-      if (b.empty()) return;  // request_queue closed and drained
-      const std::uint64_t n = b.requests.size();
-      count_in(n);
-      if (!downstream_.push(std::move(b))) return;
-      count_out(n);
-    }
-  });
-}
-
-void batch_former_node::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
 // ------------------------------------------------------------- edge infer
 
 edge_infer_node::edge_infer_node(const std::string& deployment,
+                                 request_queue& queue,
+                                 const batch_policy& policy,
                                  std::vector<edge_backend*> backends,
                                  bool simulate_edge_compute, double edge_ms,
-                                 double time_scale, std::size_t queue_depth,
-                                 node_queue<scored_batch>& downstream)
+                                 double time_scale, appeal_decide_node& decide)
     : pipeline_node("edge_infer", deployment),
+      queue_(queue),
+      policy_(policy),
       backends_(std::move(backends)),
       simulate_edge_compute_(simulate_edge_compute),
       edge_ms_(edge_ms),
       time_scale_(time_scale),
-      input_(queue_depth, depth_gauge(deployment, "edge_infer")),
-      downstream_(downstream) {
+      decide_(decide) {
   APPEAL_CHECK(!backends_.empty(), "edge_infer_node needs backends");
   for (edge_backend* backend : backends_) {
     APPEAL_CHECK(backend != nullptr, "edge backend must not be null");
@@ -127,15 +100,20 @@ void edge_infer_node::join() {
 }
 
 void edge_infer_node::worker(edge_backend& backend) {
+  batcher form(queue_, policy_);
   for (;;) {
     batch b;
-    if (input_.pop(b) == node_queue<batch>::pop_result::closed) return;
+    {
+      std::lock_guard<std::mutex> lock(form_mutex_);
+      b = form.next_batch();
+    }
+    if (b.empty()) return;  // request_queue closed and drained
     count_in(b.requests.size());
 
     // Partition expired members out BEFORE inference (they get no
-    // prediction) while keeping arrival order in the outgoing
-    // scored_batch — the decide stage sees the same score order the
-    // monolithic worker fed the controller.
+    // prediction) while keeping arrival order in the scored_batch — the
+    // decision sees the same score order the monolithic worker fed the
+    // controller.
     scored_batch sb;
     sb.items.resize(b.requests.size());
     std::vector<request> live;
@@ -196,9 +174,8 @@ void edge_infer_node::worker(edge_backend& backend) {
       sb.infer_end = now;
     }
 
-    const std::uint64_t n = sb.items.size();
-    if (!downstream_.push(std::move(sb))) return;
-    count_out(n);
+    count_out(sb.items.size());
+    decide_.decide(std::move(sb));
   }
 }
 
@@ -207,119 +184,102 @@ void edge_infer_node::worker(edge_backend& backend) {
 appeal_decide_node::appeal_decide_node(const std::string& deployment,
                                        threshold_controller& controller,
                                        std::size_t shard_id,
-                                       std::size_t queue_depth,
                                        node_queue<appeal_item>& downstream,
                                        complete_fn complete)
     : pipeline_node("appeal_decide", deployment),
       controller_(controller),
       shard_id_(shard_id),
-      input_(queue_depth, depth_gauge(deployment, "appeal_decide")),
       downstream_(downstream),
       complete_(std::move(complete)) {}
 
-void appeal_decide_node::start() {
-  thread_ = std::thread([this] { worker(); });
-}
+void appeal_decide_node::decide(scored_batch&& sb) {
+  count_in(sb.items.size());
 
-void appeal_decide_node::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void appeal_decide_node::worker() {
-  for (;;) {
-    scored_batch sb;
-    if (input_.pop(sb) == node_queue<scored_batch>::pop_result::closed) {
-      return;
-    }
-    count_in(sb.items.size());
-
-    // One δ for the whole batch: the decision the paper's predictor head
-    // makes per input, applied at batch granularity. Degraded-admission
-    // requests bypass the decision entirely (they may never appeal) and
-    // are excluded from the controller's observation — both the skip
-    // count and the score denominator — so observed_sr stays the rate
-    // over δ-decided traffic. Expired members are excluded from
-    // everything (they were never scored).
-    const double delta = controller_.delta();
-    bool any_forced = false;
-    bool any_live = false;
-    std::vector<double> all_scores;
-    std::vector<double> decided_scores;
-    all_scores.reserve(sb.items.size());
+  // One δ for the whole batch: the decision the paper's predictor head
+  // makes per input, applied at batch granularity. Degraded-admission
+  // requests bypass the decision entirely (they may never appeal) and
+  // are excluded from the controller's observation — both the skip
+  // count and the score denominator — so observed_sr stays the rate
+  // over δ-decided traffic. Expired members are excluded from
+  // everything (they were never scored).
+  const double delta = controller_.delta();
+  bool any_forced = false;
+  bool any_live = false;
+  std::vector<double> all_scores;
+  std::vector<double> decided_scores;
+  all_scores.reserve(sb.items.size());
+  for (const scored_item& it : sb.items) {
+    if (it.expired) continue;
+    any_live = true;
+    all_scores.push_back(it.score);
+    if (it.req.force_edge) any_forced = true;
+  }
+  if (any_forced) {
+    decided_scores.reserve(all_scores.size());
     for (const scored_item& it : sb.items) {
-      if (it.expired) continue;
-      any_live = true;
-      all_scores.push_back(it.score);
-      if (it.req.force_edge) any_forced = true;
-    }
-    if (any_forced) {
-      decided_scores.reserve(all_scores.size());
-      for (const scored_item& it : sb.items) {
-        if (!it.expired && !it.req.force_edge) {
-          decided_scores.push_back(it.score);
-        }
+      if (!it.expired && !it.req.force_edge) {
+        decided_scores.push_back(it.score);
       }
     }
+  }
 
-    std::size_t skipped = 0;
-    for (scored_item& it : sb.items) {
-      request& r = it.req;
-      const double queue_ms = ms_between(r.enqueue_time, r.dequeue_time);
-      if (it.expired) {
+  std::size_t skipped = 0;
+  for (scored_item& it : sb.items) {
+    request& r = it.req;
+    const double queue_ms = ms_between(r.enqueue_time, r.dequeue_time);
+    if (it.expired) {
+      response resp;
+      resp.id = r.id;
+      resp.status = request_status::expired;
+      resp.shard = shard_id_;
+      resp.queue_ms = queue_ms;
+      if (r.trace != nullptr) {
+        r.trace->set(obs::stage::queue_wait, resp.queue_ms);
+      }
+      count_egress();
+      complete_(std::move(r), std::move(resp));
+      continue;
+    }
+    if (r.trace != nullptr) {
+      r.trace->set(obs::stage::decide, ms_between(sb.infer_end, clock::now()));
+    }
+    if (r.force_edge || it.score >= delta) {
+      response resp;
+      resp.id = r.id;
+      resp.predicted_class = it.prediction;
+      resp.taken = r.force_edge ? route::edge_degraded : route::edge;
+      resp.shard = shard_id_;
+      resp.score = it.score;
+      resp.delta = delta;
+      resp.queue_ms = queue_ms;
+      if (!r.force_edge) ++skipped;
+      count_egress();
+      complete_(std::move(r), std::move(resp));
+    } else {
+      appeal_item appeal;
+      appeal.req = std::move(r);
+      appeal.score = it.score;
+      appeal.delta = delta;
+      appeal.queue_ms = queue_ms;
+      if (downstream_.push(std::move(appeal))) {
+        count_out();
+      } else {
+        // The appeal queue closed under us — a lifecycle bug upstream
+        // of this node, but the promise must still resolve: answer
+        // honestly that the request ran out of road. (A refused push
+        // leaves the item valid in our hands.)
         response resp;
-        resp.id = r.id;
+        resp.id = appeal.req.id;
         resp.status = request_status::expired;
         resp.shard = shard_id_;
         resp.queue_ms = queue_ms;
-        if (r.trace != nullptr) {
-          r.trace->set(obs::stage::queue_wait, resp.queue_ms);
-        }
         count_egress();
-        complete_(std::move(r), std::move(resp));
-        continue;
-      }
-      if (r.trace != nullptr) {
-        r.trace->set(obs::stage::decide,
-                     ms_between(sb.infer_end, clock::now()));
-      }
-      if (r.force_edge || it.score >= delta) {
-        response resp;
-        resp.id = r.id;
-        resp.predicted_class = it.prediction;
-        resp.taken = r.force_edge ? route::edge_degraded : route::edge;
-        resp.shard = shard_id_;
-        resp.score = it.score;
-        resp.delta = delta;
-        resp.queue_ms = queue_ms;
-        if (!r.force_edge) ++skipped;
-        count_egress();
-        complete_(std::move(r), std::move(resp));
-      } else {
-        appeal_item appeal;
-        appeal.req = std::move(r);
-        appeal.score = it.score;
-        appeal.delta = delta;
-        appeal.queue_ms = queue_ms;
-        if (downstream_.push(std::move(appeal))) {
-          count_out();
-        } else {
-          // The appeal queue closed under us — a lifecycle bug upstream
-          // of this node, but the promise must still resolve: answer
-          // honestly that the request ran out of road. (A refused push
-          // leaves the item valid in our hands.)
-          response resp;
-          resp.id = appeal.req.id;
-          resp.status = request_status::expired;
-          resp.shard = shard_id_;
-          resp.queue_ms = queue_ms;
-          count_egress();
-          complete_(std::move(appeal.req), std::move(resp));
-        }
+        complete_(std::move(appeal.req), std::move(resp));
       }
     }
-    if (any_live) {
-      controller_.observe(any_forced ? decided_scores : all_scores, skipped);
-    }
+  }
+  if (any_live) {
+    controller_.observe(any_forced ? decided_scores : all_scores, skipped);
   }
 }
 

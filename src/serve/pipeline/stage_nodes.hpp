@@ -1,18 +1,19 @@
-// The five concrete stages the serving engine is assembled from.
+// The four concrete stages the serving engine is assembled from.
 //
 //   ingress_node       — passive front door: admission verdict at the
 //                        request_queue boundary (block / shed / degrade);
 //                        shed requests egress here.
-//   batch_former_node  — one thread running the dynamic batcher over the
-//                        request_queue, pushing formed batches downstream.
-//   edge_infer_node    — the worker pool: one thread per edge backend,
-//                        each popping whole batches, filtering expired
-//                        members (no inference for them), running the
-//                        two-head little-network forward, and forwarding
-//                        a scored_batch.
-//   appeal_decide_node — the AppealNet decision point: δ + deadline
-//                        check. Edge-kept and expired requests egress
-//                        here; low-confidence ones become appeal items.
+//   edge_infer_node    — the worker pool: one thread per edge backend.
+//                        Each worker forms its own batch from the shared
+//                        request_queue (one worker at a time), filters
+//                        expired members (no inference for them), runs the
+//                        two-head little-network forward, and hands the
+//                        scored batch to the decide node on its own thread.
+//   appeal_decide_node — passive: the AppealNet decision point, δ +
+//                        deadline check, run inline by the edge worker
+//                        that scored the batch. Edge-kept and expired
+//                        requests egress here; low-confidence ones become
+//                        appeal items.
 //   cloud_appeal_node  — sink: hands appeals to the cloud_channel; the
 //                        channel's completion callback is this node's
 //                        egress.
@@ -22,16 +23,18 @@
 // and cloud — slots in by defining its item type and queue without
 // touching the neighbours' internals.
 //
-// Trace-stage attribution is preserved across the queue hops: batch_form
-// absorbs the formed batch's wait for an edge worker, decide absorbs the
-// scored batch's wait for the decision thread, and the engine's final
-// `complete` residual absorbs everything else — so trace_report's
-// stage-sum reconciliation stays within the CI gate by construction.
+// Trace-stage attribution: queue_wait runs from submit to the dequeue
+// that took the request into a batch, batch_form from there to the
+// forward's start, edge_infer covers the forward, decide the inline
+// decision, and the engine's final `complete` residual absorbs
+// everything else — so trace_report's stage-sum reconciliation stays
+// within the CI gate by construction.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -63,8 +66,8 @@ struct scored_item {
 };
 
 /// A whole batch after the edge forward, in arrival order. `infer_end`
-/// carries the edge stage boundary so the decide stage can stamp the
-/// `decide` trace stage from the correct origin.
+/// carries the edge stage boundary, the origin of the `decide` trace
+/// stage.
 struct scored_batch {
   std::vector<scored_item> items;
   std::chrono::steady_clock::time_point infer_end;
@@ -79,10 +82,12 @@ struct appeal_item {
   double queue_ms = 0.0;
 };
 
+class appeal_decide_node;
+
 /// Stage 1 — admission at the front door. Passive: no thread of its own,
 /// submit() runs on the caller's (engine::submit) thread. Its "output
 /// queue" is the engine's request_queue; closing the input closes that
-/// queue, which ends the batch former.
+/// queue, which ends the edge workers once they have drained it.
 class ingress_node final : public pipeline_node {
  public:
   ingress_node(const std::string& deployment, admission_controller& admission,
@@ -105,59 +110,46 @@ class ingress_node final : public pipeline_node {
   complete_fn complete_;
 };
 
-/// Stage 2 — dynamic batch formation. One thread pulls from the
-/// request_queue through a batcher and pushes formed batches downstream;
-/// it exits when the request_queue is closed and drained. Backpressure:
-/// a full downstream queue blocks this thread, the request_queue fills,
-/// and admission starts shedding/degrading.
-class batch_former_node final : public pipeline_node {
+/// Stage 2 — the edge worker pool. One thread per backend (stateful
+/// network backends stay single-threaded; each thread's nn workspace
+/// arena stays private). Each worker owns a batcher over the shared
+/// request_queue; a form mutex lets one worker form a batch at a time,
+/// so the queue keeps a single consumer and two waiting workers never
+/// split one batch. The mutex is released before the forward, so while
+/// one worker infers the next forms. Expired members are marked, not
+/// inferred. Workers exit when the request_queue is closed and drained.
+/// Backpressure: a full appeal queue blocks the worker in `decide`, the
+/// request_queue fills, and admission starts shedding/degrading.
+class edge_infer_node final : public pipeline_node {
  public:
-  batch_former_node(const std::string& deployment, request_queue& queue,
-                    const batch_policy& policy, node_queue<batch>& downstream);
+  edge_infer_node(const std::string& deployment, request_queue& queue,
+                  const batch_policy& policy,
+                  std::vector<edge_backend*> backends,
+                  bool simulate_edge_compute, double edge_ms,
+                  double time_scale, appeal_decide_node& decide);
 
   void start() override;
   void close_input() override {}  // input is the request_queue; ingress owns it
   void join() override;
 
  private:
-  request_queue& queue_;
-  batch_policy policy_;
-  node_queue<batch>& downstream_;
-  std::thread thread_;
-};
-
-/// Stage 3 — the edge worker pool. One thread per backend (stateful
-/// network backends stay single-threaded; each thread's nn workspace
-/// arena stays private). Expired members are marked, not inferred.
-class edge_infer_node final : public pipeline_node {
- public:
-  edge_infer_node(const std::string& deployment,
-                  std::vector<edge_backend*> backends,
-                  bool simulate_edge_compute, double edge_ms,
-                  double time_scale, std::size_t queue_depth,
-                  node_queue<scored_batch>& downstream);
-
-  node_queue<batch>& input() { return input_; }
-
-  void start() override;
-  void close_input() override { input_.close(); }
-  void join() override;
-
- private:
   void worker(edge_backend& backend);
 
+  request_queue& queue_;
+  batch_policy policy_;
   std::vector<edge_backend*> backends_;
   bool simulate_edge_compute_;
   double edge_ms_;
   double time_scale_;
-  node_queue<batch> input_;
-  node_queue<scored_batch>& downstream_;
+  appeal_decide_node& decide_;
+  std::mutex form_mutex_;
   std::vector<std::thread> threads_;
 };
 
-/// Stage 4 — the AppealNet decision: one δ read per scored batch,
-/// deadline check first. Edge-kept (score >= δ, or degraded admission)
-/// and expired requests complete here; the rest become appeal items.
+/// Stage 3 — the AppealNet decision: one δ read per scored batch,
+/// deadline check first. Passive: decide() runs on the edge worker that
+/// scored the batch. Edge-kept (score >= δ, or degraded admission) and
+/// expired requests complete here; the rest become appeal items.
 /// Feeds the threshold controller exactly as the monolithic engine did:
 /// degraded (force_edge) requests are excluded from both the skip count
 /// and the score denominator, expired members from everything.
@@ -165,28 +157,24 @@ class appeal_decide_node final : public pipeline_node {
  public:
   appeal_decide_node(const std::string& deployment,
                      threshold_controller& controller, std::size_t shard_id,
-                     std::size_t queue_depth,
                      node_queue<appeal_item>& downstream,
                      complete_fn complete);
 
-  node_queue<scored_batch>& input() { return input_; }
+  /// Decides every member of `sb`; blocks while the appeal queue is full.
+  void decide(scored_batch&& sb);
 
-  void start() override;
-  void close_input() override { input_.close(); }
-  void join() override;
+  void start() override {}
+  void close_input() override {}  // driven by edge_infer, which joins first
+  void join() override {}
 
  private:
-  void worker();
-
   threshold_controller& controller_;
   std::size_t shard_id_;
-  node_queue<scored_batch> input_;
   node_queue<appeal_item>& downstream_;
   complete_fn complete_;
-  std::thread thread_;
 };
 
-/// Stage 5 — the cloud sink. One thread hands appeal items to the
+/// Stage 4 — the cloud sink. One thread hands appeal items to the
 /// cloud_channel (which coalesces, frames, and retries them); the
 /// channel's completion callback — running on a transport receive thread
 /// or the simulator thread — is this node's egress. out_count() stays 0:

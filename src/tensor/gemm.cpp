@@ -239,33 +239,79 @@ void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
   }
 }
 
-/// Direct register loop for shapes too small to amortize packing.
+/// R x W tile of C = A * B for a B whose rows are contiguous, without
+/// packing: the accumulators stay in registers and each k-step reads one
+/// stride-1 strip of a B row. `store(i, j, acc)` applies alpha, beta and
+/// the epilogue.
+template <std::size_t R, std::size_t W, typename Store>
+void small_tile(std::size_t i0, std::size_t j0, std::size_t k,
+                const matrix_view& a, const matrix_view& b,
+                const Store& store) {
+  float acc[R][W] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* pb = b.p + kk * b.row_stride + j0;
+    for (std::size_t r = 0; r < R; ++r) {
+      const float air = a.at(i0 + r, kk);
+#pragma omp simd
+      for (std::size_t j = 0; j < W; ++j) acc[r][j] += air * pb[j];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t j = 0; j < W; ++j) store(i0 + r, j0 + j, acc[r][j]);
+  }
+}
+
+/// R rows of C across all n columns, in tiles 8 wide, then 4, then 1.
+template <std::size_t R, typename Store>
+void small_rows(std::size_t i0, std::size_t n, std::size_t k,
+                const matrix_view& a, const matrix_view& b,
+                const Store& store) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) small_tile<R, 8>(i0, j, k, a, b, store);
+  for (; j + 4 <= n; j += 4) small_tile<R, 4>(i0, j, k, a, b, store);
+  for (; j < n; ++j) small_tile<R, 1>(i0, j, k, a, b, store);
+}
+
+/// Direct loops for shapes too small to amortize packing. Each C element
+/// is one k-ordered sum from 0.0F in both loops (and in the packed
+/// kernel for k <= KC), so a result never depends on which path or
+/// batch size produced it.
 void gemm_small(std::size_t m, std::size_t n, std::size_t k, float alpha,
                 const matrix_view& a, const matrix_view& b, float beta,
                 const store_epilogue* epi, float* c) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    const float bias =
-        epi != nullptr && epi->bias != nullptr ? epi->bias[i] : 0.0F;
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0F;
+  const auto store = [&](std::size_t i, std::size_t j, float acc) {
+    float* cij = c + i * n + j;
+    const float v = alpha * acc;
+    if (epi != nullptr) {
+      const float bias = epi->bias != nullptr ? epi->bias[i] : 0.0F;
+      *cij = std::min(std::max(v + bias, epi->act_lo), epi->act_hi);
+    } else if (beta == 0.0F) {
+      *cij = v;
+    } else {
+      *cij = v + beta * *cij;
+    }
+  };
+  if (b.col_stride != 1) {
+    // B's columns are contiguous (B^T layout, e.g. the linear heads): one
+    // dot product per C element.
+    for (std::size_t i = 0; i < m; ++i) {
       const float* pa = a.p + i * a.row_stride;
-      const float* pb = b.p + j * b.col_stride;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += pa[kk * a.col_stride] * pb[kk * b.row_stride];
-      }
-      float v = alpha * acc;
-      if (epi != nullptr) {
-        v += bias;
-        v = std::min(std::max(v, epi->act_lo), epi->act_hi);
-        crow[j] = v;
-      } else if (beta == 0.0F) {
-        crow[j] = v;
-      } else {
-        crow[j] = v + beta * crow[j];
+      for (std::size_t j = 0; j < n; ++j) {
+        const float* pb = b.p + j * b.col_stride;
+        float acc = 0.0F;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          acc += pa[kk * a.col_stride] * pb[kk * b.row_stride];
+        }
+        store(i, j, acc);
       }
     }
+    return;
   }
+  // B's rows are contiguous (the batch-1 pointwise convs): register
+  // tiles of 4 rows, narrowing at the ragged edges.
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) small_rows<4>(i, n, k, a, b, store);
+  for (; i < m; ++i) small_rows<1>(i, n, k, a, b, store);
 }
 
 void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k, float alpha,

@@ -124,13 +124,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Randomized rectangular / ragged shapes across both the small-kernel and
 // the packed-kernel dispatch, all three layouts, against the naive
-// reference.
+// reference. Then the served MobileNet's fp32 dense layers at batch 1..16
+// (at batch 1 each pointwise conv is exactly the small-kernel bound of
+// 32768 MACs) and shapes one MAC either side of that bound.
 TEST(gemm, randomized_shapes_match_naive) {
   appeal::util::rng gen(2024);
-  for (int iter = 0; iter < 60; ++iter) {
-    const auto m = static_cast<std::size_t>(gen.uniform_int(1, 90));
-    const auto n = static_cast<std::size_t>(gen.uniform_int(1, 90));
-    const auto k = static_cast<std::size_t>(gen.uniform_int(1, 90));
+  const auto check = [&gen](std::size_t m, std::size_t n, std::size_t k) {
     const float alpha = gen.uniform(0.5F, 1.5F);
     const float beta = gen.bernoulli(0.5) ? 0.0F : gen.uniform(0.2F, 1.2F);
 
@@ -166,6 +165,60 @@ TEST(gemm, randomized_shapes_match_naive) {
     naive_gemm(m, n, k, alpha, a.data(), b.data(), beta, c_bt_ref.data());
     ASSERT_LE(max_diff(c_bt, c_bt_ref), 1e-3F * static_cast<float>(k))
         << "sgemm_bt " << m << "x" << n << "x" << k;
+  };
+  for (int iter = 0; iter < 60; ++iter) {
+    const auto m = static_cast<std::size_t>(gen.uniform_int(1, 90));
+    const auto n = static_cast<std::size_t>(gen.uniform_int(1, 90));
+    const auto k = static_cast<std::size_t>(gen.uniform_int(1, 90));
+    check(m, n, k);
+  }
+  struct layer_shape {
+    std::size_t m, cols, k;
+  };
+  const layer_shape served[] = {
+      {16, 256, 27}, {32, 64, 16}, {64, 16, 32}, {128, 4, 64}};
+  for (std::size_t batch = 1; batch <= 16; ++batch) {
+    for (const layer_shape& l : served) check(l.m, l.cols * batch, l.k);
+  }
+  const std::size_t boundary[][3] = {
+      {32, 32, 32}, {7, 151, 31},  {31, 7, 151},  // 32768 and 32767 MACs
+      {3, 3641, 3}, {3641, 3, 3},  {3, 3, 3641}}; // 32769 MACs
+  for (const auto& s : boundary) check(s[0], s[1], s[2]);
+}
+
+// A C column must not depend on how many other columns ride in the same
+// product: the batch-1 pointwise convs (small kernel, 32768 MACs) and the
+// same weights at batch 2..16 (packed kernel) give bit-identical columns.
+TEST(gemm, columns_bit_identical_across_batch_sizes) {
+  appeal::util::rng gen(105);
+  const std::size_t shapes[][3] = {{32, 64, 16}, {64, 16, 32}, {128, 4, 64}};
+  for (const auto& s : shapes) {
+    const std::size_t m = s[0], cols = s[1], k = s[2];
+    const auto a = random_matrix(m, k, gen);
+    const auto bias = random_matrix(m, 1, gen);
+    const auto b1 = random_matrix(k, cols, gen);
+    std::vector<float> c1(m * cols);
+    ops::sgemm_bias_act(m, cols, k, 1.0F, a.data(), b1.data(), bias.data(),
+                        0.0F, 6.0F, c1.data());
+    for (std::size_t batch = 2; batch <= 16; ++batch) {
+      // b1 is the last of `batch` column groups.
+      const std::size_t n = cols * batch;
+      auto b = random_matrix(k, n, gen);
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          b[kk * n + (batch - 1) * cols + j] = b1[kk * cols + j];
+        }
+      }
+      std::vector<float> c(m * n);
+      ops::sgemm_bias_act(m, n, k, 1.0F, a.data(), b.data(), bias.data(),
+                          0.0F, 6.0F, c.data());
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          ASSERT_EQ(c[i * n + (batch - 1) * cols + j], c1[i * cols + j])
+              << m << "x" << cols << "x" << k << " batch " << batch;
+        }
+      }
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "core/two_head_network.hpp"
 #include "nn/batchnorm.hpp"
@@ -152,6 +153,52 @@ TEST(workspace, steady_state_inference_allocates_nothing) {
   EXPECT_EQ(ws.stats().allocations, int8_warm)
       << "steady-state int8 inference hit the heap";
   ws.clear();
+}
+
+/// The served edge network's answer for an input must not depend on its
+/// batch-mates: online batches follow load, while offline system_eval
+/// and perfbench's reference batch differently. Checked for the fp32
+/// (folded) and the quantize_two_head'd MobileNet at 16x16, with the
+/// input alone and in a batch of 2, 3 and 16 at every position class
+/// (first, middle, last).
+TEST(served_two_head, outputs_bit_identical_across_batch_sizes) {
+  appeal::core::two_head_config cfg;
+  cfg.spec.family = appeal::models::model_family::mobilenet;
+  cfg.spec.image_size = 16;
+  cfg.spec.num_classes = 10;
+  cfg.init_seed = 0x5EED;
+  const shape one{1, 3, 16, 16};
+  const std::size_t per_input = one.element_count();
+  for (const bool int8 : {false, true}) {
+    appeal::core::two_head_network net(cfg);
+    if (int8) {
+      appeal::quant::quantize_two_head(
+          net, random_input(shape{16, 3, 16, 16}, 81));
+    } else {
+      net.prepare_for_inference();
+    }
+    const tensor x = random_input(one, 82);
+    const appeal::core::two_head_output alone = net.forward(x, false);
+    const std::size_t classes = alone.logits.dims().dim(1);
+    for (const std::size_t batch : {2, 3, 16}) {
+      for (const std::size_t at : {std::size_t{0}, batch / 2, batch - 1}) {
+        tensor xs = random_input(shape{batch, 3, 16, 16}, 83 + batch);
+        std::copy(x.data(), x.data() + per_input,
+                  xs.data() + at * per_input);
+        const appeal::core::two_head_output out = net.forward(xs, false);
+        const std::string where = std::string(int8 ? "int8" : "fp32") +
+                                  " batch " + std::to_string(batch) +
+                                  " slot " + std::to_string(at);
+        for (std::size_t c = 0; c < classes; ++c) {
+          ASSERT_EQ(out.logits.data()[at * classes + c],
+                    alone.logits.data()[c])
+              << where << " logit " << c;
+        }
+        ASSERT_EQ(out.q_logits.data()[at], alone.q_logits.data()[0]) << where;
+        ASSERT_EQ(out.q[at], alone.q[0]) << where;
+      }
+    }
+  }
 }
 
 void build_conv_bn_stack(nn::sequential& net, std::uint64_t seed) {

@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,6 +248,88 @@ TEST(engine, expired_deadline_skips_inference) {
   EXPECT_EQ(s.completed + s.expired, n);
   // Expired requests are excluded from SR/accuracy denominators.
   EXPECT_EQ(s.labeled, s.completed);
+}
+
+TEST(engine, lone_request_skips_the_batch_wait) {
+  // An idle worker dispatches a partial batch at once when the arrival
+  // rate says it would not fill: a lone request never waits out
+  // max_wait for batch-mates that are not coming.
+  const population p = make_population(4, 47);
+  serve::replay_edge_backend edge(p.little, p.scores);
+  serve::replay_cloud_backend cloud(p.big);
+  serve::engine_config cfg = fast_config();
+  cfg.batching.max_wait = std::chrono::microseconds(10'000'000);
+  serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
+
+  std::future<serve::response> f = eng.submit(tensor(), 0, p.labels[0]);
+  ASSERT_EQ(f.wait_for(std::chrono::seconds(1)), std::future_status::ready)
+      << "a lone request waited for batch-mates";
+  EXPECT_EQ(f.get().status, serve::request_status::ok);
+}
+
+/// Replay backend that blocks any batch holding key 0 until released —
+/// wedges exactly one edge worker.
+class wedge_key0_backend : public serve::edge_backend {
+ public:
+  wedge_key0_backend(std::vector<std::size_t> predictions,
+                     std::vector<double> scores)
+      : replay_(std::move(predictions), std::move(scores)) {}
+
+  serve::edge_inference infer(
+      const std::vector<serve::request>& batch) override {
+    for (const serve::request& r : batch) {
+      if (r.key != 0) continue;
+      std::unique_lock<std::mutex> lock(mutex_);
+      wedged_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    return replay_.infer(batch);
+  }
+
+  bool wait_wedged(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [&] { return wedged_; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  serve::replay_edge_backend replay_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool wedged_ = false;
+  bool open_ = false;
+};
+
+TEST(engine, wedged_worker_leaves_the_other_serving) {
+  // A worker holds the form mutex only while forming a batch, never
+  // through the forward: with one worker stuck in infer(), the other
+  // still forms and serves new requests.
+  const population p = make_population(4, 53);
+  wedge_key0_backend edge(p.little, p.scores);
+  serve::replay_cloud_backend cloud(p.big);
+  serve::engine_config cfg = fast_config();
+  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
+  cfg.threshold.initial_delta = 0.0;  // keep everything on the edge
+  serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
+
+  std::future<serve::response> stuck = eng.submit(tensor(), 0, p.labels[0]);
+  ASSERT_TRUE(edge.wait_wedged(std::chrono::seconds(5)));
+  std::future<serve::response> f = eng.submit(tensor(), 1, p.labels[1]);
+  EXPECT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+      << "the free worker did not serve the new request";
+  EXPECT_EQ(stuck.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::timeout);
+  edge.open();
+  eng.drain();
+  EXPECT_EQ(stuck.get().status, serve::request_status::ok);
+  EXPECT_EQ(f.get().taken, serve::route::edge);
 }
 
 TEST(engine, submit_after_shutdown_throws) {

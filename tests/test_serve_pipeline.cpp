@@ -193,7 +193,7 @@ serve::engine_config fast_config() {
 /// graph's threads are joined, not merely once every promise resolved.
 void expect_conserved(const serve::engine& eng) {
   const std::vector<serve::pipeline::node_stats> nodes = eng.node_stats();
-  ASSERT_EQ(nodes.size(), 5U);
+  ASSERT_EQ(nodes.size(), 4U);
   for (const auto& s : nodes) {
     EXPECT_EQ(s.in, s.out + s.egress) << "node " << s.name << " leaks";
   }
@@ -245,12 +245,14 @@ TEST(pipeline_engine, node_ledgers_reconcile_with_engine_stats) {
   // Edge-kept + degraded + expired all egress at the decide node; cloud
   // completions at the sink.
   const auto nodes = eng.node_stats();
-  EXPECT_EQ(nodes[3].name, "appeal_decide");
-  EXPECT_EQ(nodes[3].egress,
+  EXPECT_EQ(nodes[1].name, "edge_infer");
+  EXPECT_EQ(nodes[1].egress, 0U) << "edge workers hand every request on";
+  EXPECT_EQ(nodes[2].name, "appeal_decide");
+  EXPECT_EQ(nodes[2].egress,
             s.edge_kept + s.edge_degraded + s.expired);
-  EXPECT_EQ(nodes[4].name, "cloud_appeal");
-  EXPECT_EQ(nodes[4].egress, s.appealed + s.cloud_expired);
-  EXPECT_EQ(nodes[4].out, 0U) << "the sink forwards nothing";
+  EXPECT_EQ(nodes[3].name, "cloud_appeal");
+  EXPECT_EQ(nodes[3].egress, s.appealed + s.cloud_expired);
+  EXPECT_EQ(nodes[3].out, 0U) << "the sink forwards nothing";
 }
 
 /// Edge backend whose infer() blocks until released — wedges the edge
@@ -299,13 +301,11 @@ TEST(pipeline_engine, backpressure_reaches_admission_when_a_stage_wedges) {
   cfg.threshold.adapt = serve::threshold_config::mode::fixed;
   cfg.threshold.initial_delta = 0.55;
   cfg.num_workers = 1;
-  // Tiny everything: with the edge wedged, one batch in flight, one in
-  // the hand-off queue, and a 16-deep request queue are all the system
-  // can hold — the rest must shed at the front door.
+  // Tiny everything: with the edge wedged, the one batch in its worker
+  // and a 16-deep request queue are all the system can hold — the rest
+  // must shed at the front door.
   cfg.queue_capacity = 16;
   cfg.batching.max_batch_size = 4;
-  cfg.pipeline.batch_queue_depth = 1;
-  cfg.pipeline.decide_queue_depth = 1;
   cfg.admission.policy = serve::admission_policy::shed;
   serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
 

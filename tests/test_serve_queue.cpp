@@ -1,6 +1,6 @@
 // Dedicated request_queue suite: FIFO + priority-lane ordering,
-// try_push admission limits, close/drain semantics, deadline pops, and
-// concurrent producers/consumers.
+// try_push admission limits, close/drain semantics, deadline batch pops,
+// the enqueue-gap EWMA, and concurrent producers/consumers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -108,21 +108,64 @@ TEST(serve_queue, close_fails_pushes_and_drains_pops) {
   EXPECT_EQ(queue.try_push(make_request(3)),
             serve::request_queue::push_result::closed);
 
-  serve::request out;
+  // The pop that takes the last item of a closed queue already reports
+  // closed; later pops report closed with nothing.
+  std::vector<serve::request> out;
   const auto deadline = std::chrono::steady_clock::now() + 100ms;
-  EXPECT_EQ(queue.pop_until(out, deadline),
-            serve::request_queue::pop_result::item);
-  EXPECT_EQ(out.id, 1U);
-  EXPECT_EQ(queue.pop_until(out, deadline),
+  EXPECT_EQ(queue.pop_many(out, 4, deadline),
             serve::request_queue::pop_result::closed);
+  ASSERT_EQ(out.size(), 1U);
+  EXPECT_EQ(out[0].id, 1U);
+  EXPECT_EQ(queue.pop_many(out, 4, deadline),
+            serve::request_queue::pop_result::closed);
+  EXPECT_EQ(out.size(), 1U);
 }
 
 TEST(serve_queue, pop_times_out_when_empty) {
   serve::request_queue queue(4);
-  serve::request out;
+  std::vector<serve::request> out;
   const auto deadline = std::chrono::steady_clock::now() + 10ms;
-  EXPECT_EQ(queue.pop_until(out, deadline),
+  EXPECT_EQ(queue.pop_many(out, 4, deadline),
             serve::request_queue::pop_result::timed_out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(serve_queue, pop_many_takes_up_to_max_interactive_first) {
+  serve::request_queue queue(8);
+  ASSERT_TRUE(queue.push(make_request(1, serve::priority_class::batch)));
+  ASSERT_TRUE(queue.push(make_request(2, serve::priority_class::batch)));
+  ASSERT_TRUE(queue.push(make_request(3)));
+  std::vector<serve::request> out;
+  out.push_back(make_request(0));  // appends, never overwrites
+  const auto deadline = std::chrono::steady_clock::now() + 100ms;
+  EXPECT_EQ(queue.pop_many(out, 3, deadline),
+            serve::request_queue::pop_result::item);
+  ASSERT_EQ(out.size(), 3U);
+  EXPECT_EQ(out[1].id, 3U);  // interactive first
+  EXPECT_EQ(out[2].id, 1U);
+  EXPECT_EQ(queue.size(), 1U);
+}
+
+TEST(serve_queue, mean_enqueue_gap_is_an_ewma_of_enqueue_times) {
+  using std::chrono::nanoseconds;
+  serve::request_queue queue(8);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto push_at = [&](std::uint64_t id, nanoseconds offset) {
+    serve::request r = make_request(id);
+    r.enqueue_time = t0 + offset;
+    ASSERT_TRUE(queue.push(std::move(r)));
+  };
+  EXPECT_EQ(queue.mean_enqueue_gap(), nanoseconds::max()) << "no estimate";
+  push_at(1, nanoseconds(0));
+  EXPECT_EQ(queue.mean_enqueue_gap(), nanoseconds::max()) << "one enqueue";
+  push_at(2, nanoseconds(1600));
+  EXPECT_EQ(queue.mean_enqueue_gap(), nanoseconds(1600)) << "first gap seeds";
+  push_at(3, nanoseconds(1600 + 3200));
+  EXPECT_EQ(queue.mean_enqueue_gap(), nanoseconds(1600 + 1600 / 16));
+  // A racing producer's earlier stamp counts as a zero gap.
+  push_at(4, nanoseconds(0));
+  EXPECT_EQ(queue.mean_enqueue_gap(),
+            nanoseconds(1700 - 1700 / 16));
 }
 
 TEST(serve_queue, push_blocks_until_capacity_frees) {
@@ -169,17 +212,17 @@ TEST(serve_queue, concurrent_producers_consumers_deliver_everything) {
   std::vector<std::thread> consumers;
   for (std::size_t c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
-      serve::request out;
+      std::vector<serve::request> out;
       for (;;) {
-        const auto result = queue.pop_until(
-            out, std::chrono::steady_clock::now() + 50ms);
-        if (result == serve::request_queue::pop_result::item) {
-          ASSERT_LT(out.id, seen.size());
-          ASSERT_FALSE(seen[out.id].exchange(true)) << "duplicate delivery";
+        out.clear();
+        const auto result = queue.pop_many(
+            out, 4, std::chrono::steady_clock::now() + 50ms);
+        for (const serve::request& r : out) {
+          ASSERT_LT(r.id, seen.size());
+          ASSERT_FALSE(seen[r.id].exchange(true)) << "duplicate delivery";
           popped.fetch_add(1);
-        } else if (result == serve::request_queue::pop_result::closed) {
-          return;
         }
+        if (result == serve::request_queue::pop_result::closed) return;
       }
     });
   }
