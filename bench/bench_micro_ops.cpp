@@ -16,8 +16,9 @@
 //
 // Run:  ./bench_micro_ops [--json=<path>] [--benchmark_filter=...]
 // --json=<path> writes the google-benchmark JSON report to <path> (it is
-// shorthand for --benchmark_out=<path> --benchmark_out_format=json);
-// baselines live under results/.
+// shorthand for --benchmark_out=<path> --benchmark_out_format=json).
+// No baseline is kept in the tree: measured numbers, with their host,
+// are recorded in CHANGES.md.
 #include <benchmark/benchmark.h>
 
 #include <cstring>

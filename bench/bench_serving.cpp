@@ -47,7 +47,6 @@
 // Run:  ./bench_serving [--requests=20000] [--target_sr=0.9] [--seed=42]
 //       [--clients=64] [--pace_us=0] [--shards=2] [--workers=2] [--batch=16]
 //       [--max_wait_us=200] [--time_scale=0.2] [--edge_sim=1]
-//       [--appeal_queue_depth=256]
 //       [--backend=replay|network] [--edge_precision=fp32|int8|auto]
 //       [--cloud=replay|network]
 //       [--weights=<path>] [--admission=block|shed|edge_only]
@@ -444,10 +443,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int_or("workers", 2));
   cfg.shard.queue_capacity = static_cast<std::size_t>(
       args.get_int_or("queue_capacity", 1024));
-  // Bounded hand-off queue between the decision and the cloud sink (see
-  // serve::pipeline_config); validated by the deployment constructor.
-  cfg.shard.pipeline.appeal_queue_depth = static_cast<std::size_t>(
-      args.get_int_or("appeal_queue_depth", 256));
   cfg.shard.channel.time_scale = args.get_double_or("time_scale", 0.2);
   cfg.shard.channel.transport =
       serve::parse_transport_kind(args.get_string_or("transport", "sim"));

@@ -37,8 +37,6 @@ void validate(const deployment_config& cfg) {
                "each shard needs at least one edge worker");
   APPEAL_CHECK(cfg.shard.queue_capacity > 0,
                "request queue capacity must be positive");
-  APPEAL_CHECK(cfg.shard.pipeline.appeal_queue_depth > 0,
-               "pipeline appeal_queue_depth must be positive");
   APPEAL_CHECK(cfg.shard.batching.max_batch_size > 0,
                "max_batch_size must be positive");
 }

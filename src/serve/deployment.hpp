@@ -53,11 +53,9 @@ struct deployment_config {
   /// cloud uplink, `shard.stats` the shared stats sink, and
   /// `shard.admission` the admission policy applied at each shard's
   /// queue; `shard.shard_id` is overwritten per shard. The serving-scale
-  /// knobs — `shard.num_workers` (edge threads per shard),
-  /// `shard.queue_capacity` (the request queue work waits in), and
-  /// `shard.pipeline` (the bounded appeal hand-off queue) — are
-  /// validated by the deployment constructor; see
-  /// validate().
+  /// knobs — `shard.num_workers` (edge threads per shard) and
+  /// `shard.queue_capacity` (the request queue work waits in) — are
+  /// validated by the deployment constructor; see validate().
   engine_config shard;
   routing_policy routing = routing_policy::key_affine;
   /// Edge inference precision (metadata: the edge backend factory must
@@ -69,9 +67,9 @@ struct deployment_config {
 };
 
 /// Rejects configurations that would deadlock or serve nothing: zero
-/// shards/workers, a zero-capacity queue (the request queue or the
-/// appeal hand-off queue), a zero max batch size. Throws util::error;
-/// the deployment constructor runs this before building any resource.
+/// shards/workers, a zero-capacity request queue, a zero max batch
+/// size. Throws util::error; the deployment constructor runs this before
+/// building any resource.
 /// (A cross-deployment `gemm_threads` conflict is NOT an error — the
 /// pool is process-global and the last writer wins — but the engine logs
 /// it instead of clobbering silently.)

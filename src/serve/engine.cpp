@@ -147,9 +147,9 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
                                          : owned_stats_.get()),
       admission_(cfg.admission),
       cloud_node_(cfg.stats.deployment, *channel_, *controller_, cfg.shard_id,
-                  cfg.pipeline.appeal_queue_depth, completion()),
+                  completion()),
       decide_node_(cfg.stats.deployment, *controller_, cfg.shard_id,
-                   cloud_node_.input(), completion()),
+                   cloud_node_, completion()),
       edge_node_(cfg.stats.deployment, queue_, cfg.batching, edge_backends_,
                  cfg.simulate_edge_compute,
                  config_.link.overall_latency_ms(1.0),
@@ -157,11 +157,7 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
       ingress_node_(cfg.stats.deployment, admission_, queue_, cfg.shard_id,
                     completion()) {
   apply_gemm_threads(config_);
-  graph_.add(ingress_node_);
-  graph_.add(edge_node_);
-  graph_.add(decide_node_);
-  graph_.add(cloud_node_);
-  graph_.start_all();
+  edge_node_.start();
 }
 
 engine::~engine() { shutdown(); }
@@ -215,11 +211,12 @@ void engine::shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  // Topological drain: each stage's input closes only after the previous
-  // stage finished pushing into it (the edge workers drain the closed
-  // request_queue, deciding inline), so nothing in flight is stranded;
-  // the channel drain then waits out the appeals the sink handed off.
-  graph_.drain_and_stop();
+  // The edge workers drain the closed request_queue, deciding and handing
+  // off appeals inline, so once they are joined every admitted request
+  // has either completed or reached the channel; the channel drain then
+  // waits out those appeals.
+  queue_.close();
+  edge_node_.join();
   channel_->drain();
 }
 

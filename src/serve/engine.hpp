@@ -1,6 +1,6 @@
 // The online edge/cloud collaborative inference engine (one shard).
 //
-// The engine is a pipeline graph of four stages (src/serve/pipeline/):
+// The engine is a chain of four stages (src/serve/pipeline/):
 //
 //   submit() -> [ingress]       admission verdict (block / shed / degrade)
 //            -> [edge_infer]    worker pool, one edge_backend per thread;
@@ -8,18 +8,20 @@
 //                               request_queue
 //            -> [appeal_decide] deadline check + score >= δ, inline on
 //                               the worker that scored the batch
-//            -> [cloud_appeal]  cloud_channel -> cloud_backend
+//            -> [cloud_appeal]  cloud_channel -> cloud_backend, handed
+//                               off on the same worker
 //
 // Requests leave the graph (promise fulfilled, serve_stats fed) at three
 // egress points: ingress (admission shed), appeal_decide (edge-kept,
 // degraded, and expired), and cloud_appeal (appeals, including
-// cloud-expired ones). The request_queue and the appeal queue are
-// bounded, so overload backs up until admission sheds at the front door;
-// per-node in/out/egress ledgers (appeal_node_* metrics) let a scrape
-// pinpoint the stage where traffic queues or leaks. The engine itself is
-// graph assembly + config + the completion path; the threshold_controller
-// watches per-batch scores and steers δ toward the configured
-// skipping-rate target (or latency SLO).
+// cloud-expired ones). The request_queue is bounded, so overload backs
+// up until admission sheds at the front door. Decided appeals wait in the
+// cloud_channel's pending queue, which is unbounded; admission tightens
+// only on cloud_channel::under_pressure(). Per-node in/out/egress ledgers
+// (appeal_node_* metrics) let a scrape pinpoint the stage where traffic
+// leaks. The engine itself is stage assembly + config + the completion
+// path; the threshold_controller watches per-batch scores and steers δ
+// toward the configured skipping-rate target (or latency SLO).
 //
 // Ownership: engine_resources says what the engine owns vs shares. A
 // standalone engine owns its channel/controller/stats; a serve::deployment
@@ -30,9 +32,9 @@
 // Threading: `num_workers` edge-infer threads (one backend per worker so
 // stateful backends such as network_edge_backend stay single-threaded,
 // each with its thread-local nn::inference_workspace arena) take turns
-// forming a batch, then run the forward and the δ decision on their own
-// thread; one appeal hand-off thread and the channel's transport threads
-// complete the picture.
+// forming a batch, then run the forward, the δ decision and the appeal
+// hand-off on their own thread; the channel's transport threads complete
+// the picture.
 #pragma once
 
 #include <atomic>
@@ -62,23 +64,11 @@ namespace appeal::serve {
 using worker_edge_factory =
     std::function<std::unique_ptr<edge_backend>(std::size_t worker)>;
 
-/// Capacity of the bounded queue between the decision and the cloud
-/// sink, in decided appeals. Small on purpose: it is a hand-off point,
-/// not a buffer — the request_queue (engine_config::queue_capacity) is
-/// where work waits, and a deep internal queue would only hide
-/// backpressure from admission.
-struct pipeline_config {
-  /// Decided appeals awaiting hand-off to the cloud_channel.
-  std::size_t appeal_queue_depth = 256;
-};
-
 struct engine_config {
   batch_policy batching;
   std::size_t num_workers = 2;
   std::size_t queue_capacity = 1024;
   admission_config admission;     // full-queue policy at submit()
-  /// Bounded hand-off queue between the decision and the cloud sink.
-  pipeline_config pipeline;
   threshold_config threshold;
   collab::cost_model link;        // cost model: edge/cloud compute + uplink
   /// Cloud-link setup: transport (sim | uds | tcp), endpoint, coalescing
@@ -178,9 +168,9 @@ class engine {
   /// Blocks until every submitted request has completed.
   void drain();
 
-  /// Stops accepting work, drains the pipeline graph in topological
-  /// order, and joins all threads. Idempotent; also invoked by the
-  /// destructor.
+  /// Stops accepting work, lets the edge workers drain the request
+  /// queue, joins them, and waits out the appeals they handed to the
+  /// channel. Idempotent; also invoked by the destructor.
   void shutdown();
 
   const serve_stats& stats() const { return *stats_; }
@@ -193,7 +183,8 @@ class engine {
   /// in topological order. Once drained: in == out + egress at every
   /// node and the egress sum equals the submitted count.
   std::vector<pipeline::node_stats> node_stats() const {
-    return graph_.stats();
+    return {ingress_node_.stats(), edge_node_.stats(), decide_node_.stats(),
+            cloud_node_.stats()};
   }
 
   /// The cloud link this engine appeals over (shared across shards when
@@ -238,13 +229,12 @@ class engine {
   bool shut_down_ = false;
   std::mutex shutdown_mutex_;
 
-  // The graph, downstream stages first so each upstream node can take a
+  // The stages, downstream first so each upstream node can take a
   // reference to its successor at construction.
   pipeline::cloud_appeal_node cloud_node_;
   pipeline::appeal_decide_node decide_node_;
   pipeline::edge_infer_node edge_node_;
   pipeline::ingress_node ingress_node_;
-  pipeline::pipeline_graph graph_;
 };
 
 }  // namespace appeal::serve

@@ -24,24 +24,4 @@ pipeline_node::pipeline_node(std::string name, const std::string& deployment)
           node_counter("appeal_node_egress_total", deployment, name_,
                        "requests that left the graph at this node")) {}
 
-void pipeline_graph::start_all() {
-  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) (*it)->start();
-}
-
-void pipeline_graph::drain_and_stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  for (pipeline_node* node : nodes_) {
-    node->close_input();
-    node->join();
-  }
-}
-
-std::vector<node_stats> pipeline_graph::stats() const {
-  std::vector<node_stats> out;
-  out.reserve(nodes_.size());
-  for (const pipeline_node* node : nodes_) out.push_back(node->stats());
-  return out;
-}
-
 }  // namespace appeal::serve::pipeline

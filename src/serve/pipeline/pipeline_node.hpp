@@ -1,20 +1,10 @@
-// Pipeline-node framework: the stages the serving engine is composed of.
+// Pipeline-node framework: the per-stage ledgers of the serving engine.
 //
-// A pipeline_node is one stage of the serving dataflow — it owns its
-// worker thread(s) and pops work items off its input node_queue, pushing
-// results into the next node's queue. Nodes are assembled into a
-// pipeline_graph in topological order (upstream first); the graph drives
-// the lifecycle:
-//
-//   start_all()       — spawn every node's threads, downstream first, so
-//                       a consumer is always running before its producer
-//                       can fill the connecting queue;
-//   drain_and_stop()  — for each node in topological order: close its
-//                       input edge, then join its threads. Because a
-//                       closed node_queue drains before reporting closed,
-//                       every item a node emitted before its input closed
-//                       is consumed downstream before THAT node's input
-//                       closes — shutdown loses nothing.
+// A pipeline_node is one stage of the serving dataflow. The engine owns
+// the stages as members and drives them directly: only edge_infer runs
+// threads of its own, and every other stage runs on its caller's thread
+// (the submitting client for ingress, the edge worker for appeal_decide
+// and cloud_appeal). What the base class adds is the books.
 //
 // Request conservation is a per-node ledger: every item entering a node
 // counts `in`, every item forwarded downstream counts `out`, and every
@@ -35,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -54,22 +43,9 @@ class pipeline_node {
   /// `deployment` labels this node's registry instruments; empty =
   /// unlabeled (standalone engines and tests).
   pipeline_node(std::string name, const std::string& deployment);
-  virtual ~pipeline_node() = default;
 
   pipeline_node(const pipeline_node&) = delete;
   pipeline_node& operator=(const pipeline_node&) = delete;
-
-  /// Spawns the node's worker threads. Passive nodes (driven by upstream
-  /// callers, e.g. ingress) make this a no-op.
-  virtual void start() = 0;
-
-  /// Closes the node's input edge: workers finish what is already queued
-  /// and exit. Must be callable more than once.
-  virtual void close_input() = 0;
-
-  /// Joins the node's worker threads; called after close_input(), when
-  /// the input has drained.
-  virtual void join() = 0;
 
   const std::string& name() const { return name_; }
 
@@ -88,8 +64,9 @@ class pipeline_node {
   }
 
  protected:
-  // The ledger. Called from worker threads; both the local atomic (the
-  // per-instance truth tests read) and the registry mirror are wait-free.
+  // The ledger. Called from whichever thread runs the stage; both the
+  // local atomic (the per-instance truth tests read) and the registry
+  // mirror are wait-free.
   void count_in(std::uint64_t n = 1) {
     in_.fetch_add(n, std::memory_order_relaxed);
     metric_in_.add(n);
@@ -111,34 +88,6 @@ class pipeline_node {
   obs::counter& metric_in_;
   obs::counter& metric_out_;
   obs::counter& metric_egress_;
-};
-
-/// The assembled dataflow. Nodes are added in topological order
-/// (ingress first, sinks last); the graph does not own them — the engine
-/// declares the nodes as members (so declaration order handles
-/// destruction) and registers them here for lifecycle + stats.
-class pipeline_graph {
- public:
-  /// Registers the next node in topological order.
-  void add(pipeline_node& node) { nodes_.push_back(&node); }
-
-  /// Starts every node, downstream first (reverse topological order), so
-  /// consumers are live before producers can block on a full queue with
-  /// nobody draining it.
-  void start_all();
-
-  /// Topological drain: close each node's input, join it, move on. When
-  /// this returns every queue is empty and every thread joined.
-  /// Idempotent.
-  void drain_and_stop();
-
-  std::vector<node_stats> stats() const;
-
-  const std::vector<pipeline_node*>& nodes() const { return nodes_; }
-
- private:
-  std::vector<pipeline_node*> nodes_;
-  bool stopped_ = false;
 };
 
 }  // namespace appeal::serve::pipeline

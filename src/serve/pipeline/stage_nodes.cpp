@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace appeal::serve::pipeline {
@@ -14,16 +13,6 @@ using clock = std::chrono::steady_clock;
 
 double ms_between(clock::time_point from, clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-obs::gauge* depth_gauge(const std::string& deployment,
-                        const std::string& node) {
-  obs::label_set labels;
-  if (!deployment.empty()) labels.emplace_back("deployment", deployment);
-  labels.emplace_back("node", node);
-  return &obs::default_registry().get_gauge(
-      "appeal_node_queue_depth", std::move(labels),
-      "instantaneous occupancy of this node's input queue");
 }
 
 }  // namespace
@@ -184,12 +173,12 @@ void edge_infer_node::worker(edge_backend& backend) {
 appeal_decide_node::appeal_decide_node(const std::string& deployment,
                                        threshold_controller& controller,
                                        std::size_t shard_id,
-                                       node_queue<appeal_item>& downstream,
+                                       cloud_appeal_node& cloud,
                                        complete_fn complete)
     : pipeline_node("appeal_decide", deployment),
       controller_(controller),
       shard_id_(shard_id),
-      downstream_(downstream),
+      cloud_(cloud),
       complete_(std::move(complete)) {}
 
 void appeal_decide_node::decide(scored_batch&& sb) {
@@ -256,26 +245,8 @@ void appeal_decide_node::decide(scored_batch&& sb) {
       count_egress();
       complete_(std::move(r), std::move(resp));
     } else {
-      appeal_item appeal;
-      appeal.req = std::move(r);
-      appeal.score = it.score;
-      appeal.delta = delta;
-      appeal.queue_ms = queue_ms;
-      if (downstream_.push(std::move(appeal))) {
-        count_out();
-      } else {
-        // The appeal queue closed under us — a lifecycle bug upstream
-        // of this node, but the promise must still resolve: answer
-        // honestly that the request ran out of road. (A refused push
-        // leaves the item valid in our hands.)
-        response resp;
-        resp.id = appeal.req.id;
-        resp.status = request_status::expired;
-        resp.shard = shard_id_;
-        resp.queue_ms = queue_ms;
-        count_egress();
-        complete_(std::move(appeal.req), std::move(resp));
-      }
+      count_out();
+      cloud_.appeal(std::move(r), it.score, delta, queue_ms);
     }
   }
   if (any_live) {
@@ -289,61 +260,45 @@ cloud_appeal_node::cloud_appeal_node(const std::string& deployment,
                                      cloud_channel& channel,
                                      threshold_controller& controller,
                                      std::size_t shard_id,
-                                     std::size_t queue_depth,
                                      complete_fn complete)
     : pipeline_node("cloud_appeal", deployment),
       channel_(channel),
       controller_(controller),
       shard_id_(shard_id),
-      input_(queue_depth, depth_gauge(deployment, "cloud_appeal")),
       complete_(std::move(complete)) {}
 
-void cloud_appeal_node::start() {
-  thread_ = std::thread([this] { worker(); });
-}
-
-void cloud_appeal_node::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void cloud_appeal_node::worker() {
-  for (;;) {
-    appeal_item it;
-    if (input_.pop(it) == node_queue<appeal_item>::pop_result::closed) return;
-    count_in();
-    const double score = it.score;
-    const double delta = it.delta;
-    const double queue_ms = it.queue_ms;
-    channel_.appeal(
-        std::move(it.req),
-        [this, score, delta, queue_ms](request&& done,
-                                       const appeal_outcome& outcome) {
-          response resp;
-          resp.id = done.id;
-          resp.taken = route::cloud;
-          resp.shard = shard_id_;
-          resp.score = score;
-          resp.delta = delta;
-          resp.queue_ms = queue_ms;
-          resp.link_ms = outcome.link_ms;
-          resp.cloud_ms = outcome.cloud_ms;
-          // Feed the measured offload round trip back into the
-          // latency-SLO controller (no-op in the other modes): a
-          // cloud_ms spike backs δ off toward edge-only and it recovers
-          // when the link normalizes.
-          controller_.observe_cloud_ms(outcome.link_ms);
-          if (outcome.expired) {
-            // The cloud shed the appeal (deadline blown in its work
-            // queue): the client gets an honest `expired`, not a
-            // fabricated prediction.
-            resp.status = request_status::expired;
-          } else {
-            resp.predicted_class = outcome.prediction;
-          }
-          count_egress();
-          complete_(std::move(done), std::move(resp));
-        });
-  }
+void cloud_appeal_node::appeal(request&& r, double score, double delta,
+                               double queue_ms) {
+  count_in();
+  channel_.appeal(
+      std::move(r),
+      [this, score, delta, queue_ms](request&& done,
+                                     const appeal_outcome& outcome) {
+        response resp;
+        resp.id = done.id;
+        resp.taken = route::cloud;
+        resp.shard = shard_id_;
+        resp.score = score;
+        resp.delta = delta;
+        resp.queue_ms = queue_ms;
+        resp.link_ms = outcome.link_ms;
+        resp.cloud_ms = outcome.cloud_ms;
+        // Feed the measured offload round trip back into the
+        // latency-SLO controller (no-op in the other modes): a cloud_ms
+        // spike backs δ off toward edge-only and it recovers when the
+        // link normalizes.
+        controller_.observe_cloud_ms(outcome.link_ms);
+        if (outcome.expired) {
+          // The cloud shed the appeal (deadline blown in its work
+          // queue): the client gets an honest `expired`, not a
+          // fabricated prediction.
+          resp.status = request_status::expired;
+        } else {
+          resp.predicted_class = outcome.prediction;
+        }
+        count_egress();
+        complete_(std::move(done), std::move(resp));
+      });
 }
 
 }  // namespace appeal::serve::pipeline

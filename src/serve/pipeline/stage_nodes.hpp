@@ -12,16 +12,18 @@
 //   appeal_decide_node — passive: the AppealNet decision point, δ +
 //                        deadline check, run inline by the edge worker
 //                        that scored the batch. Edge-kept and expired
-//                        requests egress here; low-confidence ones become
-//                        appeal items.
-//   cloud_appeal_node  — sink: hands appeals to the cloud_channel; the
+//                        requests egress here; low-confidence ones go to
+//                        the cloud sink on the same thread.
+//   cloud_appeal_node  — passive sink: hands each appeal to the
+//                        cloud_channel on the edge worker's thread; the
 //                        channel's completion callback is this node's
 //                        egress.
 //
-// The work items between stages are typed (batch → scored_batch →
-// appeal_item), so a future stage — say, a peer-appeal tier between edge
-// and cloud — slots in by defining its item type and queue without
-// touching the neighbours' internals.
+// No stage queues work for another: the request_queue in front of the
+// edge workers is the only bounded buffer in the graph. Decided appeals
+// wait in the cloud_channel's own pending queue, which is unbounded;
+// admission tightens on cloud_channel::under_pressure() (overload or a
+// breaker that is not closed), not on that queue's length.
 //
 // Trace-stage attribution: queue_wait runs from submit to the dequeue
 // that took the request into a batch, batch_form from there to the
@@ -42,7 +44,6 @@
 #include "serve/backends.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cloud_channel.hpp"
-#include "serve/pipeline/node_queue.hpp"
 #include "serve/pipeline/pipeline_node.hpp"
 #include "serve/request.hpp"
 #include "serve/request_queue.hpp"
@@ -73,21 +74,13 @@ struct scored_batch {
   std::chrono::steady_clock::time_point infer_end;
 };
 
-/// One low-confidence request bound for the cloud, with the decision
-/// context its eventual response must carry.
-struct appeal_item {
-  request req;
-  double score = 0.0;
-  double delta = 0.0;
-  double queue_ms = 0.0;
-};
-
 class appeal_decide_node;
+class cloud_appeal_node;
 
 /// Stage 1 — admission at the front door. Passive: no thread of its own,
-/// submit() runs on the caller's (engine::submit) thread. Its "output
-/// queue" is the engine's request_queue; closing the input closes that
-/// queue, which ends the edge workers once they have drained it.
+/// submit() runs on the caller's (engine::submit) thread. Its output is
+/// the engine's request_queue; the engine closes that queue at shutdown,
+/// which ends the edge workers once they have drained it.
 class ingress_node final : public pipeline_node {
  public:
   ingress_node(const std::string& deployment, admission_controller& admission,
@@ -98,10 +91,6 @@ class ingress_node final : public pipeline_node {
   /// closed (request untouched, nothing counted — it never entered the
   /// graph).
   admission_verdict submit(request&& r);
-
-  void start() override {}
-  void close_input() override { queue_.close(); }
-  void join() override {}
 
  private:
   admission_controller& admission_;
@@ -118,8 +107,9 @@ class ingress_node final : public pipeline_node {
 /// split one batch. The mutex is released before the forward, so while
 /// one worker infers the next forms. Expired members are marked, not
 /// inferred. Workers exit when the request_queue is closed and drained.
-/// Backpressure: a full appeal queue blocks the worker in `decide`, the
-/// request_queue fills, and admission starts shedding/degrading.
+/// Backpressure: while every worker is busy the request_queue fills, and
+/// admission starts shedding/degrading. A worker hands appeals to the
+/// channel without waiting for the cloud.
 class edge_infer_node final : public pipeline_node {
  public:
   edge_infer_node(const std::string& deployment, request_queue& queue,
@@ -128,9 +118,11 @@ class edge_infer_node final : public pipeline_node {
                   bool simulate_edge_compute, double edge_ms,
                   double time_scale, appeal_decide_node& decide);
 
-  void start() override;
-  void close_input() override {}  // input is the request_queue; ingress owns it
-  void join() override;
+  /// Spawns one worker thread per backend.
+  void start();
+  /// Joins the workers; they return once the request_queue is closed and
+  /// drained.
+  void join();
 
  private:
   void worker(edge_backend& backend);
@@ -149,7 +141,7 @@ class edge_infer_node final : public pipeline_node {
 /// Stage 3 — the AppealNet decision: one δ read per scored batch,
 /// deadline check first. Passive: decide() runs on the edge worker that
 /// scored the batch. Edge-kept (score >= δ, or degraded admission) and
-/// expired requests complete here; the rest become appeal items.
+/// expired requests complete here; the rest go to the cloud sink.
 /// Feeds the threshold controller exactly as the monolithic engine did:
 /// degraded (force_edge) requests are excluded from both the skip count
 /// and the score denominator, expired members from everything.
@@ -157,49 +149,39 @@ class appeal_decide_node final : public pipeline_node {
  public:
   appeal_decide_node(const std::string& deployment,
                      threshold_controller& controller, std::size_t shard_id,
-                     node_queue<appeal_item>& downstream,
-                     complete_fn complete);
+                     cloud_appeal_node& cloud, complete_fn complete);
 
-  /// Decides every member of `sb`; blocks while the appeal queue is full.
+  /// Decides every member of `sb`; appeals are handed off without
+  /// waiting for the cloud.
   void decide(scored_batch&& sb);
-
-  void start() override {}
-  void close_input() override {}  // driven by edge_infer, which joins first
-  void join() override {}
 
  private:
   threshold_controller& controller_;
   std::size_t shard_id_;
-  node_queue<appeal_item>& downstream_;
+  cloud_appeal_node& cloud_;
   complete_fn complete_;
 };
 
-/// Stage 4 — the cloud sink. One thread hands appeal items to the
-/// cloud_channel (which coalesces, frames, and retries them); the
-/// channel's completion callback — running on a transport receive thread
-/// or the simulator thread — is this node's egress. out_count() stays 0:
+/// Stage 4 — the cloud sink. Passive: appeal() runs on the edge worker
+/// that decided the request and hands it to the cloud_channel (which
+/// coalesces, frames, and retries it) without waiting. The channel's
+/// completion callback — running on a transport receive thread or the
+/// simulator thread — is this node's egress. out_count() stays 0:
 /// nothing leaves this node except fulfilled promises.
 class cloud_appeal_node final : public pipeline_node {
  public:
   cloud_appeal_node(const std::string& deployment, cloud_channel& channel,
                     threshold_controller& controller, std::size_t shard_id,
-                    std::size_t queue_depth, complete_fn complete);
+                    complete_fn complete);
 
-  node_queue<appeal_item>& input() { return input_; }
-
-  void start() override;
-  void close_input() override { input_.close(); }
-  void join() override;
+  /// Appeals `r` with the decision context its response must carry.
+  void appeal(request&& r, double score, double delta, double queue_ms);
 
  private:
-  void worker();
-
   cloud_channel& channel_;
   threshold_controller& controller_;
   std::size_t shard_id_;
-  node_queue<appeal_item> input_;
   complete_fn complete_;
-  std::thread thread_;
 };
 
 }  // namespace appeal::serve::pipeline

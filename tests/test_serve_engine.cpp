@@ -207,6 +207,20 @@ TEST(engine, owning_factory_constructor_serves_like_references) {
   EXPECT_EQ(s.edge_kept + s.appealed, n);
   EXPECT_GT(s.edge_kept, 0U);
   EXPECT_GT(s.appealed, 0U);
+
+  // An engine over borrowed backends splits the same workload the same
+  // way at the same δ: the resources only change who owns what.
+  serve::replay_edge_backend edge(p.little, p.scores);
+  serve::replay_cloud_backend cloud(p.big);
+  serve::engine standalone(cfg,
+                           serve::engine_resources::standalone(edge, cloud));
+  for (std::size_t i = 0; i < n; ++i) {
+    standalone.submit(tensor(), i, p.labels[i]);
+  }
+  standalone.drain();
+  const serve::stats_snapshot r = standalone.stats().snapshot();
+  EXPECT_EQ(r.edge_kept, s.edge_kept);
+  EXPECT_EQ(r.appealed, s.appealed);
 }
 
 TEST(engine, expired_deadline_skips_inference) {

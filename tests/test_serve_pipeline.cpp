@@ -1,7 +1,8 @@
-// Pipeline-node framework tests: node_queue semantics, topological drain
-// ordering, upstream backpressure propagation, per-node conservation
-// ledgers against engine-level stats, and lossless shutdown with items
-// still in flight.
+// Pipeline-node tests through the engine: per-node conservation ledgers
+// against engine-level stats, backpressure from a wedged edge stage to
+// admission, and lossless shutdown with requests still in flight, also
+// when every request appeals and cloud completions race the deciding
+// worker.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,146 +10,14 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "serve/engine.hpp"
-#include "serve/pipeline/node_queue.hpp"
-#include "serve/pipeline/pipeline_node.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace appeal;
-using serve::pipeline::node_queue;
-
-// ------------------------------------------------------------ node_queue
-
-TEST(node_queue, fifo_and_capacity) {
-  node_queue<int> q(2);
-  EXPECT_EQ(q.capacity(), 2U);
-  EXPECT_EQ(q.try_push(1), node_queue<int>::push_result::ok);
-  EXPECT_EQ(q.try_push(2), node_queue<int>::push_result::ok);
-  EXPECT_EQ(q.try_push(3), node_queue<int>::push_result::full);
-  int out = 0;
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 1);
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 2);
-}
-
-TEST(node_queue, close_drains_before_reporting_closed) {
-  node_queue<int> q(4);
-  ASSERT_TRUE(q.push(7));
-  ASSERT_TRUE(q.push(8));
-  q.close();
-  EXPECT_FALSE(q.push(9));
-  EXPECT_EQ(q.try_push(9), node_queue<int>::push_result::closed);
-  int out = 0;
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 7);
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 8);
-  EXPECT_EQ(q.pop(out), node_queue<int>::pop_result::closed);
-}
-
-TEST(node_queue, full_push_blocks_until_pop) {
-  node_queue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(q.push(2));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load()) << "push must block while the queue is full";
-  int out = 0;
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 2);
-}
-
-// --------------------------------------------- graph lifecycle (toy nodes)
-
-/// Minimal worker node moving ints from its input queue to an optional
-/// downstream queue, recording when its input was closed.
-class relay_node final : public serve::pipeline::pipeline_node {
- public:
-  relay_node(const std::string& name, std::size_t depth,
-             node_queue<int>* downstream, std::vector<std::string>& close_log,
-             std::mutex& log_mutex)
-      : pipeline_node(name, ""),
-        input_(depth),
-        downstream_(downstream),
-        close_log_(close_log),
-        log_mutex_(log_mutex) {}
-
-  node_queue<int>& input() { return input_; }
-
-  void start() override {
-    thread_ = std::thread([this] {
-      int item = 0;
-      while (input_.pop(item) == node_queue<int>::pop_result::item) {
-        count_in();
-        if (downstream_ != nullptr) {
-          if (!downstream_->push(std::move(item))) return;
-          count_out();
-        } else {
-          count_egress();
-        }
-      }
-    });
-  }
-  void close_input() override {
-    {
-      std::lock_guard<std::mutex> lock(log_mutex_);
-      close_log_.push_back(name());
-    }
-    input_.close();
-  }
-  void join() override {
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  node_queue<int> input_;
-  node_queue<int>* downstream_;
-  std::vector<std::string>& close_log_;
-  std::mutex& log_mutex_;
-  std::thread thread_;
-};
-
-TEST(pipeline_graph, drains_in_topological_order_and_loses_nothing) {
-  std::vector<std::string> close_log;
-  std::mutex log_mutex;
-  relay_node sink("sink", 2, nullptr, close_log, log_mutex);
-  relay_node mid("mid", 2, &sink.input(), close_log, log_mutex);
-  relay_node head("head", 2, &mid.input(), close_log, log_mutex);
-
-  serve::pipeline::pipeline_graph graph;
-  graph.add(head);
-  graph.add(mid);
-  graph.add(sink);
-  graph.start_all();
-
-  const int n = 100;
-  for (int i = 0; i < n; ++i) ASSERT_TRUE(head.input().push(int(i)));
-  graph.drain_and_stop();
-
-  EXPECT_EQ(close_log, (std::vector<std::string>{"head", "mid", "sink"}));
-  // Nothing stranded: every node balanced, the head's intake reached the
-  // sink's egress.
-  for (const auto& s : graph.stats()) {
-    EXPECT_EQ(s.in, s.out + s.egress) << "node " << s.name;
-  }
-  EXPECT_EQ(head.in_count(), static_cast<std::uint64_t>(n));
-  EXPECT_EQ(sink.egress_count(), static_cast<std::uint64_t>(n));
-  // Idempotent.
-  graph.drain_and_stop();
-  EXPECT_EQ(close_log.size(), 3U);
-}
 
 // ----------------------------------------------------- engine integration
 
@@ -188,9 +57,10 @@ serve::engine_config fast_config() {
 }
 
 /// Asserts the full conservation chain over an engine's node ledgers.
-/// Call after shutdown(): a producer bumps its out-ledger only after the
-/// hand-off push returns, so the books are guaranteed balanced once the
-/// graph's threads are joined, not merely once every promise resolved.
+/// Call after shutdown(): ingress counts a request only after pushing it
+/// into the request_queue, where a worker may already have taken it, so
+/// the books are guaranteed balanced once the edge workers are joined and
+/// the channel drained, not merely once every promise resolved.
 void expect_conserved(const serve::engine& eng) {
   const std::vector<serve::pipeline::node_stats> nodes = eng.node_stats();
   ASSERT_EQ(nodes.size(), 4U);
@@ -345,79 +215,39 @@ TEST(pipeline_engine, backpressure_reaches_admission_when_a_stage_wedges) {
 TEST(pipeline_engine, shutdown_with_in_flight_items_loses_nothing) {
   const std::size_t n = 2000;
   const population p = make_population(n, 71);
-  serve::replay_edge_backend edge(p.little, p.scores);
-  serve::replay_cloud_backend cloud(p.big);
 
-  serve::engine_config cfg = fast_config();
-  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
-  cfg.threshold.initial_delta = 0.55;
-  serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
+  // δ = 0.55 keeps most requests on the edge; δ = 1.0 appeals every one,
+  // so cloud completions land on the channel's threads while the worker
+  // that handed them off is still inside decide().
+  for (const double delta : {0.55, 1.0}) {
+    SCOPED_TRACE(delta);
+    serve::replay_edge_backend edge(p.little, p.scores);
+    serve::replay_cloud_backend cloud(p.big);
+    serve::engine_config cfg = fast_config();
+    cfg.threshold.adapt = serve::threshold_config::mode::fixed;
+    cfg.threshold.initial_delta = delta;
+    serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
 
-  std::vector<std::future<serve::response>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(eng.submit(tensor(), i, p.labels[i]));
-  }
-  // No drain: shut down with the queues still loaded. The topological
-  // close must flush every stage — a broken promise here would throw.
-  eng.shutdown();
-  for (auto& f : futures) {
-    const serve::response r = f.get();
-    EXPECT_EQ(r.status, serve::request_status::ok);
-  }
-  expect_conserved(eng);
-  const serve::stats_snapshot s = eng.snapshot();
-  EXPECT_EQ(s.completed, n);
-}
-
-TEST(pipeline_engine, unified_constructor_matches_legacy_shims) {
-  const std::size_t n = 1000;
-  const population p = make_population(n, 73);
-  const double delta = 0.55;
-
-  auto run = [&](serve::engine& eng) {
+    std::vector<std::future<serve::response>> futures;
+    futures.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      eng.submit(tensor(), i, p.labels[i]);
+      futures.push_back(eng.submit(tensor(), i, p.labels[i]));
     }
-    eng.drain();
-    return eng.stats().snapshot();
-  };
-
-  serve::engine_config cfg = fast_config();
-  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
-  cfg.threshold.initial_delta = delta;
-
-  serve::replay_edge_backend edge(p.little, p.scores);
-  serve::replay_cloud_backend cloud(p.big);
-  serve::engine unified(cfg,
-                        serve::engine_resources::standalone(edge, cloud));
-  const serve::stats_snapshot a = run(unified);
-
-  // A second independently-built standalone engine must serve the same
-  // replay workload identically (resource wiring is stateless).
-  serve::replay_edge_backend edge2(p.little, p.scores);
-  serve::replay_cloud_backend cloud2(p.big);
-  serve::engine again(cfg, serve::engine_resources::standalone(edge2, cloud2));
-  const serve::stats_snapshot b = run(again);
-
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.edge_kept, b.edge_kept);
-  EXPECT_EQ(a.appealed, b.appealed);
-  EXPECT_DOUBLE_EQ(a.online_accuracy, b.online_accuracy);
-
-  serve::engine owning(
-      cfg, serve::engine_resources::owning(
-               cfg,
-               [&p](std::size_t) {
-                 return std::make_unique<serve::replay_edge_backend>(
-                     p.little, p.scores);
-               },
-               [&p] {
-                 return std::make_unique<serve::replay_cloud_backend>(p.big);
-               }));
-  const serve::stats_snapshot c = run(owning);
-  EXPECT_EQ(a.edge_kept, c.edge_kept);
-  EXPECT_EQ(a.appealed, c.appealed);
+    // No drain: shut down with the queues still loaded. Shutdown must
+    // flush every stage — a broken promise here would throw.
+    eng.shutdown();
+    for (auto& f : futures) {
+      const serve::response r = f.get();
+      EXPECT_EQ(r.status, serve::request_status::ok);
+    }
+    expect_conserved(eng);
+    const serve::stats_snapshot s = eng.snapshot();
+    EXPECT_EQ(s.completed, n);
+    EXPECT_EQ(eng.node_stats()[3].in, s.appealed);
+    if (delta == 1.0) {
+      EXPECT_EQ(s.appealed, n);
+    }
+  }
 }
 
 }  // namespace
