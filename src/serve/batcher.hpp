@@ -52,8 +52,8 @@ struct batch {
 };
 
 /// Pulls dynamic batches off a request_queue. Each edge worker owns a
-/// batcher over the shared queue; the edge_infer node lets only one of
-/// them form a batch at a time.
+/// batcher over the shared queue; the engine lets only one of them form
+/// a batch at a time.
 class batcher {
  public:
   batcher(request_queue& queue, const batch_policy& policy);
@@ -61,8 +61,6 @@ class batcher {
   /// Blocks for the next batch. An empty batch (reason `queue_closed`)
   /// means the queue is closed and drained — the worker should exit.
   batch next_batch();
-
-  const batch_policy& policy() const { return policy_; }
 
  private:
   /// True when the rest of the batch should arrive within max_wait at the

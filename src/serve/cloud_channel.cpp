@@ -138,10 +138,6 @@ void cloud_channel::drain() {
                 [&] { return outstanding_ == 0 && sending_ids_.empty(); });
 }
 
-std::size_t cloud_channel::completed() const {
-  return completed_.load(std::memory_order_relaxed);
-}
-
 link_counters cloud_channel::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   link_counters c;

@@ -107,9 +107,6 @@ class cloud_channel {
   /// parked retries).
   void drain();
 
-  /// Total appeals completed.
-  std::size_t completed() const;
-
   /// Wire + completion counters for stats reporting.
   link_counters counters() const;
 
@@ -124,8 +121,6 @@ class cloud_channel {
   bool under_pressure() const {
     return pressure_.load(std::memory_order_relaxed);
   }
-
-  const link_config& config() const { return config_; }
 
  private:
   struct pending {

@@ -50,6 +50,14 @@ void apply_gemm_threads(const engine_config& cfg) {
       .set(static_cast<double>(ops::gemm_threads()));
 }
 
+obs::counter& node_counter(const char* family, const std::string& deployment,
+                           const char* node, const char* help) {
+  obs::label_set labels;
+  if (!deployment.empty()) labels.emplace_back("deployment", deployment);
+  labels.emplace_back("node", node);
+  return obs::default_registry().get_counter(family, std::move(labels), help);
+}
+
 /// Resolves the per-worker backend pointers from an engine_resources:
 /// one shared backend fanned out, or exactly one owned backend per
 /// worker.
@@ -146,27 +154,32 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
       stats_(res.shared_stats != nullptr ? res.shared_stats
                                          : owned_stats_.get()),
       admission_(cfg.admission),
-      cloud_node_(cfg.stats.deployment, *channel_, *controller_, cfg.shard_id,
-                  completion()),
-      decide_node_(cfg.stats.deployment, *controller_, cfg.shard_id,
-                   cloud_node_, completion()),
-      edge_node_(cfg.stats.deployment, queue_, cfg.batching, edge_backends_,
-                 cfg.simulate_edge_compute,
-                 config_.link.overall_latency_ms(1.0),
-                 cfg.channel.time_scale, decide_node_),
-      ingress_node_(cfg.stats.deployment, admission_, queue_, cfg.shard_id,
-                    completion()) {
+      ingress_("ingress", cfg.stats.deployment),
+      edge_("edge_infer", cfg.stats.deployment),
+      decide_("appeal_decide", cfg.stats.deployment),
+      cloud_("cloud_appeal", cfg.stats.deployment) {
   apply_gemm_threads(config_);
-  edge_node_.start();
+  workers_.reserve(edge_backends_.size());
+  try {
+    for (edge_backend* backend : edge_backends_) {
+      workers_.emplace_back([this, backend] { worker(*backend); });
+    }
+  } catch (...) {
+    shutdown();  // joins the workers already started
+    throw;
+  }
 }
 
 engine::~engine() { shutdown(); }
 
-pipeline::complete_fn engine::completion() {
-  return [this](request&& r, response&& resp) {
-    complete(std::move(r), std::move(resp));
-  };
-}
+engine::ledger::ledger(const char* name, const std::string& deployment)
+    : name_(name),
+      in_(node_counter("appeal_node_in_total", deployment, name,
+                       "requests that entered this pipeline node")),
+      out_(node_counter("appeal_node_out_total", deployment, name,
+                        "requests this node forwarded downstream")),
+      egress_(node_counter("appeal_node_egress_total", deployment, name,
+                           "requests that left the graph at this node")) {}
 
 std::future<response> engine::submit(inference_request&& req) {
   request r;
@@ -188,14 +201,29 @@ std::future<response> engine::submit(inference_request&& req) {
   // signal is fresh at every admission decision.
   admission_.set_cloud_pressure(channel_->under_pressure());
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  if (ingress_node_.submit(std::move(r)) != admission_verdict::closed) {
-    return future;  // admitted, degraded, or shed-and-completed
+  const admission_verdict verdict = admission_.try_admit(queue_, r);
+  if (verdict == admission_verdict::closed) {
+    // Never entered the engine: nothing is counted.
+    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lock(drain_mutex_);
+      drained_.notify_all();
+    }
+    throw util::error("submit() on a shut-down engine");
   }
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
-    drained_.notify_all();
+  // Counted only after try_admit, where a worker may already have taken
+  // the request: the ledgers balance once the engine is shut down.
+  ingress_.in();
+  if (verdict == admission_verdict::shed) {
+    response resp;
+    resp.id = r.id;
+    resp.status = request_status::shed;
+    resp.shard = config_.shard_id;
+    ingress_.egress();
+    complete(std::move(r), std::move(resp));
+  } else {
+    ingress_.out();  // admitted or degraded: now in the request_queue
   }
-  throw util::error("submit() on a shut-down engine");
+  return future;
 }
 
 void engine::drain() {
@@ -216,8 +244,166 @@ void engine::shutdown() {
   // has either completed or reached the channel; the channel drain then
   // waits out those appeals.
   queue_.close();
-  edge_node_.join();
+  for (std::thread& t : workers_) {
+    if (t.joinable()) t.join();
+  }
   channel_->drain();
+}
+
+void engine::worker(edge_backend& backend) {
+  batcher form(queue_, config_.batching);
+  // The simulated accelerator pass (when on) is part of the edge forward
+  // as far as attribution goes.
+  const double simulated_ms =
+      config_.simulate_edge_compute
+          ? config_.link.overall_latency_ms(1.0) * config_.channel.time_scale
+          : 0.0;
+  for (;;) {
+    batch b;
+    {
+      std::lock_guard<std::mutex> lock(form_mutex_);
+      b = form.next_batch();
+    }
+    if (b.empty()) return;  // request_queue closed and drained
+    const std::size_t size = b.requests.size();
+    edge_.in(size);
+
+    // Split expired members off BEFORE inference (they get no
+    // prediction); the live ones keep their arrival order.
+    std::vector<request>& live = b.requests;
+    std::vector<request> expired;
+    const clock::time_point now = clock::now();
+    auto kept = live.begin();
+    for (auto it = live.begin(); it != live.end(); ++it) {
+      if (it->deadline != request::no_deadline && now > it->deadline) {
+        expired.push_back(std::move(*it));
+      } else {
+        if (kept != it) *kept = std::move(*it);
+        ++kept;
+      }
+    }
+    live.erase(kept, live.end());
+
+    edge_inference inference;
+    clock::time_point infer_end = now;
+    if (!live.empty()) {
+      const clock::time_point infer_start = clock::now();
+      for (request& r : live) {
+        if (r.trace != nullptr) {
+          r.trace->set(obs::stage::queue_wait,
+                       ms_between(r.enqueue_time, r.dequeue_time));
+          r.trace->set(obs::stage::batch_form,
+                       ms_between(r.dequeue_time, infer_start));
+        }
+      }
+      inference = backend.infer(live);
+      APPEAL_CHECK(inference.predictions.size() == live.size() &&
+                       inference.scores.size() == live.size(),
+                   "edge backend must return one result per request");
+      if (simulated_ms > 0.0) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(simulated_ms));
+      }
+      infer_end = clock::now();
+      for (request& r : live) {
+        if (r.trace != nullptr) {
+          r.trace->set(obs::stage::edge_infer,
+                       ms_between(infer_start, infer_end));
+        }
+      }
+    }
+    edge_.out(size);
+    decide(expired, live, inference, infer_end);
+  }
+}
+
+void engine::decide(std::vector<request>& expired, std::vector<request>& live,
+                    const edge_inference& inference,
+                    clock::time_point infer_end) {
+  decide_.in(expired.size() + live.size());
+  for (request& r : expired) {
+    response resp;
+    resp.id = r.id;
+    resp.status = request_status::expired;
+    resp.shard = config_.shard_id;
+    resp.queue_ms = ms_between(r.enqueue_time, r.dequeue_time);
+    if (r.trace != nullptr) {
+      r.trace->set(obs::stage::queue_wait, resp.queue_ms);
+    }
+    decide_.egress();
+    complete(std::move(r), std::move(resp));
+  }
+  if (live.empty()) return;
+
+  // One δ for the whole batch: the decision the paper's predictor head
+  // makes per input, applied at batch granularity. Degraded-admission
+  // requests bypass the decision (they may never appeal) and stay out of
+  // the controller's observation, both the skip count and the score
+  // denominator, so observed_sr stays the rate over δ-decided traffic.
+  const double delta = controller_->delta();
+  std::vector<double> decided_scores;
+  decided_scores.reserve(live.size());
+  std::size_t skipped = 0;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    request& r = live[i];
+    const double score = inference.scores[i];
+    const double queue_ms = ms_between(r.enqueue_time, r.dequeue_time);
+    if (r.trace != nullptr) {
+      r.trace->set(obs::stage::decide, ms_between(infer_end, clock::now()));
+    }
+    if (!r.force_edge) decided_scores.push_back(score);
+    if (r.force_edge || score >= delta) {
+      response resp;
+      resp.id = r.id;
+      resp.predicted_class = inference.predictions[i];
+      resp.taken = r.force_edge ? route::edge_degraded : route::edge;
+      resp.shard = config_.shard_id;
+      resp.score = score;
+      resp.delta = delta;
+      resp.queue_ms = queue_ms;
+      if (!r.force_edge) ++skipped;
+      decide_.egress();
+      complete(std::move(r), std::move(resp));
+    } else {
+      decide_.out();
+      appeal(std::move(r), score, delta, queue_ms);
+    }
+  }
+  controller_->observe(decided_scores, skipped);
+}
+
+void engine::appeal(request&& r, double score, double delta,
+                    double queue_ms) {
+  cloud_.in();
+  channel_->appeal(
+      std::move(r),
+      [this, score, delta, queue_ms](request&& done,
+                                     const appeal_outcome& outcome) {
+        response resp;
+        resp.id = done.id;
+        resp.taken = route::cloud;
+        resp.shard = config_.shard_id;
+        resp.score = score;
+        resp.delta = delta;
+        resp.queue_ms = queue_ms;
+        resp.link_ms = outcome.link_ms;
+        resp.cloud_ms = outcome.cloud_ms;
+        // Feed the measured offload round trip back into the
+        // latency-SLO controller (no-op in the other modes): a cloud_ms
+        // spike backs δ off toward edge-only and it recovers when the
+        // link normalizes.
+        controller_->observe_cloud_ms(outcome.link_ms);
+        if (outcome.expired) {
+          // The cloud shed the appeal (deadline blown in its work
+          // queue): the client gets an honest `expired`, not a
+          // fabricated prediction.
+          resp.status = request_status::expired;
+        } else {
+          resp.predicted_class = outcome.prediction;
+        }
+        cloud_.egress();
+        complete(std::move(done), std::move(resp));
+      });
 }
 
 void engine::complete(request&& r, response&& resp) {

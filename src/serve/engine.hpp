@@ -1,27 +1,34 @@
 // The online edge/cloud collaborative inference engine (one shard).
 //
-// The engine is a chain of four stages (src/serve/pipeline/):
+// A request takes four steps, each with its own request ledger:
 //
-//   submit() -> [ingress]       admission verdict (block / shed / degrade)
-//            -> [edge_infer]    worker pool, one edge_backend per thread;
-//                               each worker forms its own batch from the
-//                               request_queue
-//            -> [appeal_decide] deadline check + score >= δ, inline on
-//                               the worker that scored the batch
-//            -> [cloud_appeal]  cloud_channel -> cloud_backend, handed
-//                               off on the same worker
+//   submit()   [ingress]       admission verdict (block / shed / degrade)
+//                              at the bounded request_queue
+//   worker()   [edge_infer]    one thread per edge backend; each worker
+//                              forms its own batch from the request_queue,
+//                              splits off expired members and runs the
+//                              two-head forward
+//   decide()   [appeal_decide] deadline check + score >= δ, on the worker
+//                              that scored the batch
+//   appeal()   [cloud_appeal]  hands the raw input to the cloud_channel,
+//                              on the same worker
 //
-// Requests leave the graph (promise fulfilled, serve_stats fed) at three
-// egress points: ingress (admission shed), appeal_decide (edge-kept,
-// degraded, and expired), and cloud_appeal (appeals, including
-// cloud-expired ones). The request_queue is bounded, so overload backs
-// up until admission sheds at the front door. Decided appeals wait in the
+// Requests complete (promise fulfilled, serve_stats fed) at three points:
+// submit (admission shed), decide (edge-kept, degraded, and expired), and
+// the channel's completion callback (appeals, including cloud-expired
+// ones). The request_queue is bounded, so overload backs up until
+// admission sheds at the front door. Decided appeals wait in the
 // cloud_channel's pending queue, which is unbounded; admission tightens
-// only on cloud_channel::under_pressure(). Per-node in/out/egress ledgers
-// (appeal_node_* metrics) let a scrape pinpoint the stage where traffic
-// leaks. The engine itself is stage assembly + config + the completion
-// path; the threshold_controller watches per-batch scores and steers δ
-// toward the configured skipping-rate target (or latency SLO).
+// only on cloud_channel::under_pressure(). The ledgers (appeal_node_*
+// metrics) let a scrape pinpoint the step where traffic leaks. The
+// threshold_controller watches per-batch scores and steers δ toward the
+// configured skipping-rate target (or latency SLO).
+//
+// Trace-stage attribution: queue_wait runs from submit to the dequeue
+// that took the request into a batch, batch_form from there to the
+// forward's start, edge_infer covers the forward, decide the δ decision,
+// and complete()'s `complete` residual absorbs everything else, so the
+// stages of a span always sum to its total.
 //
 // Ownership: engine_resources says what the engine owns vs shares. A
 // standalone engine owns its channel/controller/stats; a serve::deployment
@@ -29,36 +36,55 @@
 // per-deployment δ), and serve_stats (the per-deployment aggregation
 // point).
 //
-// Threading: `num_workers` edge-infer threads (one backend per worker so
+// Threading: `num_workers` edge threads (one backend per worker so
 // stateful backends such as network_edge_backend stay single-threaded,
-// each with its thread-local nn::inference_workspace arena) take turns
-// forming a batch, then run the forward, the δ decision and the appeal
-// hand-off on their own thread; the channel's transport threads complete
-// the picture.
+// each with its thread-local nn::inference_workspace arena). A form mutex
+// lets one worker form a batch at a time, so the queue keeps a single
+// consumer and two waiting workers never split one batch; it is released
+// before the forward, so while one worker infers the next forms. The
+// channel's transport threads run the appeal completions.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "collab/cost_model.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/admission.hpp"
 #include "serve/backends.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cloud_channel.hpp"
-#include "serve/pipeline/pipeline_node.hpp"
-#include "serve/pipeline/stage_nodes.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_stats.hpp"
 #include "serve/threshold_controller.hpp"
 
 namespace appeal::serve {
+
+namespace pipeline {
+
+/// Point-in-time view of one step's request ledger. Counts are requests,
+/// not batches. Once drained: in == out + egress at every step, each
+/// step's out equals the next step's in, and the egress sum equals the
+/// submitted count.
+struct node_stats {
+  std::string name;
+  std::uint64_t in = 0;      // requests that entered the step
+  std::uint64_t out = 0;     // requests handed to the next step
+  std::uint64_t egress = 0;  // requests completed (promise fulfilled) here
+};
+
+}  // namespace pipeline
 
 /// Builds the edge backend for one worker (`worker` indexes the pool).
 using worker_edge_factory =
@@ -179,17 +205,13 @@ class engine {
   /// cloud-link counters included.
   stats_snapshot snapshot() const { return stats_->snapshot(); }
 
-  /// Per-node conservation ledgers (in/out/egress per pipeline stage),
-  /// in topological order. Once drained: in == out + egress at every
-  /// node and the egress sum equals the submitted count.
+  /// The four request ledgers (ingress, edge_infer, appeal_decide,
+  /// cloud_appeal), in that order. Once shut down: in == out + egress at
+  /// every step and the egress sum equals the submitted count.
   std::vector<pipeline::node_stats> node_stats() const {
-    return {ingress_node_.stats(), edge_node_.stats(), decide_node_.stats(),
-            cloud_node_.stats()};
+    return {ingress_.stats(), edge_.stats(), decide_.stats(),
+            cloud_.stats()};
   }
-
-  /// The cloud link this engine appeals over (shared across shards when
-  /// the engine belongs to a deployment).
-  const cloud_channel& channel() const { return *channel_; }
 
   /// Opens a new stats window (counters, latency buckets, clock, and the
   /// cloud-link counters together) — call after a warmup phase, with no
@@ -198,15 +220,57 @@ class engine {
   void reset_stats() { stats_->reset(); }
   threshold_controller& controller() { return *controller_; }
   const admission_controller& admission() const { return admission_; }
-  const engine_config& config() const { return config_; }
 
   /// Approximate instantaneous queue depth (the least-loaded router's
   /// load signal; lock-free so routing never touches the queue mutex).
   std::size_t queue_depth() const { return queue_.approx_size(); }
 
  private:
+  /// One step's in/out/egress request counts: a local atomic per column
+  /// (what node_stats() reads) mirrored into the registry as
+  /// appeal_node_{in,out,egress}_total{deployment,node}.
+  class ledger {
+   public:
+    ledger(const char* name, const std::string& deployment);
+    void in(std::uint64_t n = 1) { in_.add(n); }
+    void out(std::uint64_t n = 1) { out_.add(n); }
+    void egress(std::uint64_t n = 1) { egress_.add(n); }
+    pipeline::node_stats stats() const {
+      return {name_, in_.local.load(std::memory_order_relaxed),
+              out_.local.load(std::memory_order_relaxed),
+              egress_.local.load(std::memory_order_relaxed)};
+    }
+
+   private:
+    struct column {
+      explicit column(obs::counter& m) : metric(m) {}
+      void add(std::uint64_t n) {
+        local.fetch_add(n, std::memory_order_relaxed);
+        metric.add(n);
+      }
+      std::atomic<std::uint64_t> local{0};
+      obs::counter& metric;
+    };
+    std::string name_;
+    column in_, out_, egress_;
+  };
+
+  /// One edge worker: forms a batch under the form mutex, splits off the
+  /// members whose deadline passed in the queue, runs the forward and
+  /// hands the batch to decide(). Returns once the queue is closed and
+  /// drained.
+  void worker(edge_backend& backend);
+  /// The AppealNet decision for one scored batch: one δ for the batch;
+  /// expired members complete as expired, the rest stay on the edge
+  /// (score >= δ, or degraded admission) or appeal. The controller sees
+  /// the scores of the δ-decided (not degraded) members in arrival order.
+  void decide(std::vector<request>& expired, std::vector<request>& live,
+              const edge_inference& inference,
+              std::chrono::steady_clock::time_point infer_end);
+  /// Hands `r` to the channel without waiting; the channel's completion
+  /// callback completes it with the decision context.
+  void appeal(request&& r, double score, double delta, double queue_ms);
   void complete(request&& r, response&& resp);
-  pipeline::complete_fn completion();
 
   engine_config config_;
   obs::trace_sampler sampler_;  // every-Nth from config_.trace_sample_rate
@@ -221,6 +285,10 @@ class engine {
   threshold_controller* controller_;
   serve_stats* stats_;
   admission_controller admission_;
+  ledger ingress_;
+  ledger edge_;
+  ledger decide_;
+  ledger cloud_;
 
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::size_t> outstanding_{0};
@@ -228,13 +296,8 @@ class engine {
   std::condition_variable drained_;
   bool shut_down_ = false;
   std::mutex shutdown_mutex_;
-
-  // The stages, downstream first so each upstream node can take a
-  // reference to its successor at construction.
-  pipeline::cloud_appeal_node cloud_node_;
-  pipeline::appeal_decide_node decide_node_;
-  pipeline::edge_infer_node edge_node_;
-  pipeline::ingress_node ingress_node_;
+  std::mutex form_mutex_;  // one edge worker forms a batch at a time
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace appeal::serve

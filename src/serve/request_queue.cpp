@@ -103,11 +103,6 @@ void request_queue::close() {
   not_empty_.notify_all();
 }
 
-bool request_queue::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
-}
-
 std::size_t request_queue::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return size_locked();

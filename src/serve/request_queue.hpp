@@ -76,7 +76,6 @@ class request_queue {
   /// Closes the queue: future pushes fail, pops drain then report closed.
   void close();
 
-  bool closed() const;
   std::size_t size() const;
   /// Lock-free approximate size — the least-loaded router's load signal;
   /// avoids taking the queue mutex on the submit hot path.

@@ -1,17 +1,24 @@
-// Pipeline-node tests through the engine: per-node conservation ledgers
-// against engine-level stats, backpressure from a wedged edge stage to
-// admission, and lossless shutdown with requests still in flight, also
-// when every request appeals and cloud completions race the deciding
-// worker.
+// The engine's four request ledgers (ingress, edge_infer, appeal_decide,
+// cloud_appeal): conservation against engine-level stats, backpressure
+// from a wedged edge worker to admission, lossless shutdown with requests
+// still in flight (also when every request appeals and cloud completions
+// race the deciding worker), and the exported appeal_node_* counters of a
+// sharded deployment balancing in the registry's Prometheus rendering.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "serve/deployment.hpp"
 #include "serve/engine.hpp"
 #include "util/rng.hpp"
 
@@ -125,23 +132,15 @@ TEST(pipeline_engine, node_ledgers_reconcile_with_engine_stats) {
   EXPECT_EQ(nodes[3].out, 0U) << "the sink forwards nothing";
 }
 
-/// Edge backend whose infer() blocks until released — wedges the edge
-/// stage so upstream queues fill and admission must react.
-class gated_edge_backend : public serve::edge_backend {
+/// Holds every edge forward that reaches it until opened, so the request
+/// queues fill and admission must react.
+class edge_gate {
  public:
-  gated_edge_backend(std::vector<std::size_t> predictions,
-                     std::vector<double> scores)
-      : replay_(std::move(predictions), std::move(scores)) {}
-
-  serve::edge_inference infer(
-      const std::vector<serve::request>& batch) override {
+  void pass() {
     std::unique_lock<std::mutex> lock(mutex_);
     entered_.fetch_add(1, std::memory_order_relaxed);
     cv_.wait(lock, [&] { return open_; });
-    lock.unlock();
-    return replay_.infer(batch);
   }
-
   void open() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -154,17 +153,35 @@ class gated_edge_backend : public serve::edge_backend {
   }
 
  private:
-  serve::replay_edge_backend replay_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool open_ = false;
   std::atomic<std::size_t> entered_{0};
 };
 
+/// Replay edge backend whose infer() waits at a gate first.
+class gated_edge_backend : public serve::edge_backend {
+ public:
+  gated_edge_backend(edge_gate& gate, std::vector<std::size_t> predictions,
+                     std::vector<double> scores)
+      : gate_(gate), replay_(std::move(predictions), std::move(scores)) {}
+
+  serve::edge_inference infer(
+      const std::vector<serve::request>& batch) override {
+    gate_.pass();
+    return replay_.infer(batch);
+  }
+
+ private:
+  edge_gate& gate_;
+  serve::replay_edge_backend replay_;
+};
+
 TEST(pipeline_engine, backpressure_reaches_admission_when_a_stage_wedges) {
   const std::size_t n = 600;
   const population p = make_population(n, 67);
-  gated_edge_backend edge(p.little, p.scores);
+  edge_gate gate;
+  gated_edge_backend edge(gate, p.little, p.scores);
   serve::replay_cloud_backend cloud(p.big);
 
   serve::engine_config cfg = fast_config();
@@ -186,11 +203,11 @@ TEST(pipeline_engine, backpressure_reaches_admission_when_a_stage_wedges) {
   }
   // The wedge held: at most one batch entered the edge stage, and the
   // bounded queues forced admission to shed instead of buffering.
-  EXPECT_LE(edge.entered(), 1U);
+  EXPECT_LE(gate.entered(), 1U);
   EXPECT_GT(eng.admission().shed(), 0U)
       << "backpressure never reached the admission controller";
 
-  edge.open();
+  gate.open();
   eng.drain();
   eng.shutdown();
   std::size_t ok = 0;
@@ -247,6 +264,141 @@ TEST(pipeline_engine, shutdown_with_in_flight_items_loses_nothing) {
     if (delta == 1.0) {
       EXPECT_EQ(s.appealed, n);
     }
+  }
+}
+
+/// The exported appeal_node_* columns of each node, by node name.
+using exported_ledgers = std::map<std::string, serve::pipeline::node_stats>;
+
+/// The value of the `family{labels}` sample in a Prometheus rendering
+/// (labels exactly as rendered); a missing sample fails the test.
+double sample(const std::string& text, const std::string& family,
+              const std::string& labels) {
+  const std::string head = family + "{" + labels + "} ";
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.compare(0, head.size(), head) == 0) {
+      return std::stod(line.substr(head.size()));
+    }
+  }
+  ADD_FAILURE() << "no sample " << head;
+  return 0.0;
+}
+
+exported_ledgers scrape_ledgers(const std::string& text,
+                                const std::string& deployment,
+                                const std::vector<std::string>& nodes) {
+  exported_ledgers out;
+  for (const std::string& node : nodes) {
+    const std::string labels =
+        "deployment=\"" + deployment + "\",node=\"" + node + "\"";
+    serve::pipeline::node_stats& s = out[node];
+    s.name = node;
+    s.in = static_cast<std::uint64_t>(
+        sample(text, "appeal_node_in_total", labels));
+    s.out = static_cast<std::uint64_t>(
+        sample(text, "appeal_node_out_total", labels));
+    s.egress = static_cast<std::uint64_t>(
+        sample(text, "appeal_node_egress_total", labels));
+  }
+  return out;
+}
+
+TEST(pipeline_engine, exported_ledgers_conserve_across_a_sharded_deployment) {
+  // The registry is process-wide and cumulative: a name of its own per
+  // run keeps the rows this deployment's alone (also under
+  // --gtest_repeat).
+  static int runs = 0;
+  const std::string name = "ledger-gate-" + std::to_string(runs++);
+  const std::size_t n = 3000;
+  const population p = make_population(n, 73);
+
+  serve::deployment_config cfg;
+  cfg.shards = 2;
+  cfg.shard.batching.max_batch_size = 4;
+  cfg.shard.batching.max_wait = std::chrono::microseconds(200);
+  cfg.shard.num_workers = 1;
+  cfg.shard.queue_capacity = 8;
+  cfg.shard.admission.policy = serve::admission_policy::shed;
+  cfg.shard.channel.time_scale = 0.0;  // sim transport, no delays
+  cfg.shard.threshold.adapt = serve::threshold_config::mode::fixed;
+  cfg.shard.threshold.initial_delta = 0.55;
+  // Both shards' forwards wait at one gate until the first burst has
+  // overflowed the small queues, so the shed leg is exercised for sure.
+  edge_gate gate;
+  serve::deployment dep(
+      name, cfg,
+      [&](std::size_t, std::size_t) {
+        return std::make_unique<gated_edge_backend>(gate, p.little,
+                                                    p.scores);
+      },
+      [&] { return std::make_unique<serve::replay_cloud_backend>(p.big); });
+
+  std::vector<std::future<serve::response>> futures;
+  futures.reserve(n);
+  const auto submit = [&](std::size_t i) {
+    serve::inference_request req;
+    req.key = i;
+    req.label = p.labels[i];
+    // 1 µs deadlines expire in the queue (the expired leg); the long
+    // ones never do.
+    if (i % 4 == 0) {
+      req.deadline = std::chrono::microseconds(i % 8 == 0 ? 1 : 10'000'000);
+    }
+    futures.push_back(dep.submit(std::move(req)));
+  };
+  const std::size_t burst = 200;
+  for (std::size_t i = 0; i < burst; ++i) submit(i);
+  gate.open();
+  for (std::size_t i = burst; i < n; ++i) submit(i);
+  dep.drain();
+  dep.shutdown();
+  for (auto& f : futures) f.get();
+
+  const std::vector<std::string> order = {"ingress", "edge_infer",
+                                          "appeal_decide", "cloud_appeal"};
+  const std::string text = obs::default_registry().render_prometheus();
+  const exported_ledgers exported = scrape_ledgers(text, name, order);
+
+  for (const std::string& node : order) {
+    const serve::pipeline::node_stats& s = exported.at(node);
+    EXPECT_EQ(s.in, s.out + s.egress) << "node " << node << " leaks";
+    EXPECT_GT(s.in, 0U) << node;
+  }
+  for (std::size_t k = 0; k + 1 < order.size(); ++k) {
+    EXPECT_EQ(exported.at(order[k]).out, exported.at(order[k + 1]).in)
+        << order[k] << " -> " << order[k + 1] << " hand-off";
+  }
+  std::uint64_t egress = 0;
+  for (const std::string& node : order) egress += exported.at(node).egress;
+  EXPECT_EQ(exported.at("ingress").in, egress);
+  EXPECT_EQ(static_cast<double>(egress),
+            sample(text, "appeal_requests_total",
+                   "deployment=\"" + name + "\""));
+  EXPECT_EQ(egress, n);
+
+  // Every egress leg ran: shed at ingress, edge-kept and expired at the
+  // decision, appeals at the cloud step.
+  const serve::stats_snapshot s = dep.snapshot();
+  EXPECT_GT(s.shed, 0U);
+  EXPECT_GT(s.expired, 0U);
+  EXPECT_GT(s.edge_kept, 0U);
+  EXPECT_GT(s.appealed, 0U);
+
+  // The registry rows are the sum over both shards' own ledgers.
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    serve::pipeline::node_stats sum;
+    for (std::size_t shard = 0; shard < dep.num_shards(); ++shard) {
+      const serve::pipeline::node_stats row = dep.shard(shard).node_stats()[k];
+      EXPECT_EQ(row.name, order[k]);
+      sum.in += row.in;
+      sum.out += row.out;
+      sum.egress += row.egress;
+    }
+    const serve::pipeline::node_stats& got = exported.at(order[k]);
+    EXPECT_EQ(got.in, sum.in) << order[k];
+    EXPECT_EQ(got.out, sum.out) << order[k];
+    EXPECT_EQ(got.egress, sum.egress) << order[k];
   }
 }
 

@@ -246,6 +246,26 @@ TEST(server, unknown_model_and_duplicate_registration_throw) {
   EXPECT_NE(srv.find("only"), nullptr);
 }
 
+/// Each configuration that would deadlock or serve nothing is refused,
+/// both by validate() and by the deployment constructor.
+TEST(server, validate_rejects_configs_that_serve_nothing) {
+  const population p = make_population(64, 13, 0.8);
+  const serve::deployment_config good = replay_deployment_config(2, 0.5);
+  EXPECT_NO_THROW(serve::validate(good));
+
+  std::vector<serve::deployment_config> bad(4, good);
+  bad[0].shards = 0;
+  bad[1].shard.num_workers = 0;
+  bad[2].shard.queue_capacity = 0;
+  bad[3].shard.batching.max_batch_size = 0;
+  for (const serve::deployment_config& cfg : bad) {
+    EXPECT_THROW(serve::validate(cfg), util::error);
+    EXPECT_THROW(serve::deployment("bad", cfg, replay_edge_factory(p),
+                                   replay_cloud_factory(p)),
+                 util::error);
+  }
+}
+
 /// Saturating closed-loop load against a tiny queue with slow edge
 /// workers: `shed` admission must answer immediately (status::shed)
 /// instead of blocking the submitting thread.
