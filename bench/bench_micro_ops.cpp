@@ -9,7 +9,10 @@
 // inverts. The int8 edge path is covered kernel by kernel on the served
 // network's shapes — the quantized GEMM per dense layer, the depthwise
 // kernel per plane size — and end to end (fp32 and int8 edge forward),
-// each at serving batches 1, 4 and 16.
+// each at serving batches 1, 4 and 16 (the fp32 forward also at 2 and 8,
+// where the pointwise convs cross the 16-column packed panel). The
+// MobileNet GEMM shapes also run once per fp32 kernel the host can
+// execute (baseline and, on AVX2 hosts, the AVX2 build of the same code).
 //
 // "GFLOPS"/"GOPS" are FLOPs (integer ops) per iteration divided by the
 // time per iteration, in units of 1e9.
@@ -30,6 +33,7 @@
 #include "nn/inference_workspace.hpp"
 #include "quant/quantize.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/gemm_s8.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -61,15 +65,22 @@ void bm_sgemm(benchmark::State& state) {
 }
 BENCHMARK(bm_sgemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-/// One named GEMM shape [m x k] * [k x n] with a GFLOPS counter.
+/// One named GEMM shape [m x k] * [k x n] with a GFLOPS counter, through
+/// sgemm or, when `kernel` is set, through that explicit kernel.
 void run_gemm_shape(benchmark::State& state, std::size_t m, std::size_t k,
-                    std::size_t n) {
+                    std::size_t n,
+                    const ops::detail::sgemm_kernel* kernel = nullptr) {
   util::rng gen(2);
   const tensor a = tensor::rand_uniform(shape{m, k}, gen, -1.0F, 1.0F);
   const tensor b = tensor::rand_uniform(shape{k, n}, gen, -1.0F, 1.0F);
   tensor c(shape{m, n});
   for (auto _ : state) {
-    ops::sgemm(m, n, k, 1.0F, a.data(), b.data(), 0.0F, c.data());
+    if (kernel != nullptr) {
+      ops::detail::sgemm_with(*kernel, m, n, k, 1.0F, {a.data(), k, 1},
+                              {b.data(), n, 1}, 0.0F, nullptr, c.data());
+    } else {
+      ops::sgemm(m, n, k, 1.0F, a.data(), b.data(), 0.0F, c.data());
+    }
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOPS"] = giga_rate(2.0 * static_cast<double>(m) * k * n);
@@ -78,27 +89,35 @@ void run_gemm_shape(benchmark::State& state, std::size_t m, std::size_t k,
 // MobileNet edge-backbone layer geometries (width 1.0, 16x16 inputs:
 // channels 16 -> 32 -> 64 -> 128). im2col lowers each conv to
 // [out_c x patch] * [patch x batch*positions]; `b1`/`b16` are serving
-// batch sizes 1 and 16 (the batcher's default max batch).
-void bm_gemm_mobilenet_stem_b1(benchmark::State& s) {
-  run_gemm_shape(s, 16, 27, 256);
-}
-BENCHMARK(bm_gemm_mobilenet_stem_b1);
-void bm_gemm_mobilenet_stem_b16(benchmark::State& s) {
-  run_gemm_shape(s, 16, 27, 4096);
-}
-BENCHMARK(bm_gemm_mobilenet_stem_b16);
-void bm_gemm_mobilenet_pw1_b16(benchmark::State& s) {
-  run_gemm_shape(s, 32, 16, 1024);
-}
-BENCHMARK(bm_gemm_mobilenet_pw1_b16);
-void bm_gemm_mobilenet_pw2_b16(benchmark::State& s) {
-  run_gemm_shape(s, 64, 32, 256);
-}
-BENCHMARK(bm_gemm_mobilenet_pw2_b16);
-void bm_gemm_mobilenet_pw3_b16(benchmark::State& s) {
-  run_gemm_shape(s, 128, 64, 64);
-}
-BENCHMARK(bm_gemm_mobilenet_pw3_b16);
+// batch sizes 1 and 16 (the batcher's default max batch). Each shape is
+// one row through sgemm, `bm_gemm_mobilenet_<shape>`, plus one row per
+// kernel the host can run, `bm_gemm_mobilenet_<shape>/<kernel>`.
+const bool mobilenet_rows_registered = [] {
+  struct named_shape {
+    const char* name;
+    std::size_t m, k, n;
+  };
+  static const named_shape shapes[] = {{"stem_b1", 16, 27, 256},
+                                       {"stem_b16", 16, 27, 4096},
+                                       {"pw1_b16", 32, 16, 1024},
+                                       {"pw2_b16", 64, 32, 256},
+                                       {"pw3_b16", 128, 64, 64}};
+  for (const named_shape& s : shapes) {
+    const std::string row = std::string("bm_gemm_mobilenet_") + s.name;
+    benchmark::RegisterBenchmark(row.c_str(), [&s](benchmark::State& st) {
+      run_gemm_shape(st, s.m, s.k, s.n);
+    });
+    for (const ops::detail::sgemm_kernel& kernel :
+         ops::detail::host_sgemm_kernels()) {
+      benchmark::RegisterBenchmark(
+          (row + "/" + kernel.name).c_str(),
+          [&s, &kernel](benchmark::State& st) {
+            run_gemm_shape(st, s.m, s.k, s.n, &kernel);
+          });
+    }
+  }
+  return true;
+}();
 
 // EfficientNet MBConv geometries (expansion 4): the 1x1 expansion and
 // projection convs dominate that backbone's edge FLOPs.
@@ -269,7 +288,7 @@ void run_edge_forward(benchmark::State& state, bool int8) {
 void bm_edge_forward_int8(benchmark::State& s) { run_edge_forward(s, true); }
 BENCHMARK(bm_edge_forward_int8)->Arg(1)->Arg(4)->Arg(16);
 void bm_edge_forward_fp32(benchmark::State& s) { run_edge_forward(s, false); }
-BENCHMARK(bm_edge_forward_fp32)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(bm_edge_forward_fp32)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void bm_im2col(benchmark::State& state) {
   ops::conv_geometry g;

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_s8.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -23,6 +24,8 @@ double ms_between(clock::time_point from, clock::time_point to) {
 /// force — whether this engine set it or an earlier one / the
 /// APPEAL_GEMM_THREADS environment did. A conflicting request is logged
 /// (with both deployments named) instead of silently clobbered.
+/// Also exports the fp32 and int8 kernels in force as
+/// appeal_gemm_kernel_info{precision=...,kernel=...} 1.
 void apply_gemm_threads(const engine_config& cfg) {
   if (cfg.gemm_threads > 0) {
     static std::mutex mutex;
@@ -48,6 +51,15 @@ void apply_gemm_threads(const engine_config& cfg) {
       .get_gauge("appeal_gemm_threads", {},
                  "intra-GEMM parallelism of edge forwards (process-global)")
       .set(static_cast<double>(ops::gemm_threads()));
+  for (const auto& [precision, kernel] :
+       {std::pair{"fp32", ops::sgemm_kernel_name()},
+        std::pair{"int8", ops::qgemm_kernel_name()}}) {
+    obs::default_registry()
+        .get_gauge("appeal_gemm_kernel_info",
+                   {{"precision", precision}, {"kernel", kernel}},
+                   "GEMM kernel chosen for this host's CPU (process-global)")
+        .set(1.0);
+  }
 }
 
 obs::counter& node_counter(const char* family, const std::string& deployment,

@@ -1,18 +1,43 @@
+// Packed, cache-blocked fp32 GEMM and its per-ISA variants.
+//
+// One source, compiled twice. The baseline kernel is this file as the
+// build flags compile it: SSE2 (4 lanes) on the default x86-64 target,
+// where the 8x16 register tile spills. When the build flags stop short of
+// AVX2, an "avx2" variant compiles the same run_m_block and gemm_small
+// bodies again under __attribute__((target("avx2"))) — `flatten` inlines
+// the whole call tree into the AVX2 wrapper, so the microkernel, the
+// tile store and the small-product loops all get 8-lane code. The
+// variant in force is picked once per process with
+// __builtin_cpu_supports("avx2"); the baseline stays for CPUs without it.
+//
+// No variant uses FMA (never `fma` or `arch=x86-64-v3`): a fused
+// multiply-add rounds once where mul-then-add rounds twice, so FMA hosts
+// would compute different bits from the rest, and fixed-δ serving must
+// reproduce offline system_eval bit for bit on every host. Without FMA,
+// each C element is the same k-ordered sum of multiply-then-add steps
+// whatever the vector width, so every variant computes the same bits.
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <mutex>
 #include <vector>
 
+#include "tensor/gemm_kernels.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
+
+#if defined(__GNUC__) && defined(__x86_64__) && !defined(__AVX2__)
+#define APPEAL_SGEMM_AVX2 1
+#endif
 
 namespace appeal::ops {
 
 namespace {
+
+using detail::matrix_view;
+using detail::store_epilogue;
 
 // GotoBLAS-style blocking: C is computed in MC x NC macro-tiles from an
 // A-panel packed [MC x KC] (per thread, lives in L2) and a B-panel packed
@@ -20,10 +45,11 @@ namespace {
 // is MR x NR = 8 rows by one-or-two SIMD cache lines: 8 matches the
 // model zoo's channel counts (16/32/64/128), so panels are never padded,
 // and the row count keeps enough independent accumulators in flight to
-// cover FMA latency. With 512-bit vectors the tile widens to 32 columns
-// (two zmm per row, 16 zmm accumulators): each k-step then amortizes its
-// 8 scalar broadcasts over twice the FMAs, which the narrower
-// SSE/AVX-width register files cannot hold without spilling.
+// cover the add latency. The 8x16 tile is 16 ymm accumulators in the
+// AVX2 variant and 32 xmm (so it spills) in the SSE2 baseline; both
+// share one packing layout. A build whose flags enable AVX-512 widens the
+// tile to 32 columns (two zmm per row, 16 zmm accumulators): each k-step
+// then amortizes its 8 scalar broadcasts over twice the multiply-adds.
 constexpr std::size_t MR = 8;
 #if defined(__AVX512F__)
 constexpr std::size_t NR = 32;
@@ -38,26 +64,6 @@ constexpr std::size_t KC = 256;
 // (depthwise-conv GEMMs, the predictor head); a direct register loop is
 // faster.
 constexpr std::size_t kSmallFlops = 32 * 32 * 32;
-
-/// Generic element accessor: M(i, j) = p[i * row_stride + j * col_stride].
-/// Covers A, A^T, B and B^T with one packing routine each.
-struct matrix_view {
-  const float* p;
-  std::size_t row_stride;
-  std::size_t col_stride;
-
-  float at(std::size_t i, std::size_t j) const {
-    return p[i * row_stride + j * col_stride];
-  }
-};
-
-/// Optional fused store epilogue: per-row bias plus activation clamp,
-/// applied exactly once, in the pass that stores the final K block.
-struct store_epilogue {
-  const float* bias = nullptr;  // per row of C, may be null
-  float act_lo = -std::numeric_limits<float>::infinity();
-  float act_hi = std::numeric_limits<float>::infinity();
-};
 
 void scale_c(std::size_t m, std::size_t n, float beta, float* c) {
   if (beta == 1.0F) return;
@@ -200,7 +206,8 @@ std::mutex gemm_pool_mutex;
 
 /// Packed, cache-blocked GEMM over generic views:
 /// C = alpha * A[m x k] * B[k x n] + beta * C.
-void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
+void gemm_packed(const detail::sgemm_kernel& kernel, std::size_t m,
+                 std::size_t n, std::size_t k, float alpha,
                  const matrix_view& a, const matrix_view& b, float beta,
                  const store_epilogue* epi, float* c, std::size_t ldc) {
   thread_local std::vector<float> bpack;
@@ -223,8 +230,8 @@ void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
       const float* packed_b = bpack.data();
       const auto run_block = [&](std::size_t blk) {
         const std::size_t i0 = blk * MC;
-        run_m_block(a, i0, std::min(MC, m - i0), pc, kc, jc, nc, packed_b,
-                    alpha, beta, first, block_epi, c, ldc);
+        kernel.m_block(a, i0, std::min(MC, m - i0), pc, kc, jc, nc,
+                       packed_b, alpha, beta, first, block_epi, c, ldc);
       };
       if (threads > 1 && blocks > 1) {
         std::unique_lock<std::mutex> pool_lock(gemm_pool_mutex,
@@ -272,7 +279,8 @@ void small_rows(std::size_t i0, std::size_t n, std::size_t k,
   for (; j < n; ++j) small_tile<R, 1>(i0, j, k, a, b, store);
 }
 
-/// Direct loops for shapes too small to amortize packing. Each C element
+/// Direct loops for shapes too small to amortize packing and for
+/// row-contiguous products narrower than one NR panel. Each C element
 /// is one k-ordered sum from 0.0F in both loops (and in the packed
 /// kernel for k <= KC), so a result never depends on which path or
 /// batch size produced it.
@@ -314,9 +322,61 @@ void gemm_small(std::size_t m, std::size_t n, std::size_t k, float alpha,
   for (; i < m; ++i) small_rows<1>(i, n, k, a, b, store);
 }
 
-void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                   const matrix_view& a, const matrix_view& b, float beta,
-                   const store_epilogue* epi, float* c) {
+#if defined(APPEAL_SGEMM_AVX2)
+// The AVX2 variant: the same bodies as run_m_block and gemm_small, with
+// every callee inlined (flatten) into a function compiled for AVX2. Only
+// ever called after the run-time CPU check.
+__attribute__((target("avx2"), flatten)) void run_m_block_avx2(
+    const matrix_view& a, std::size_t i0, std::size_t mc, std::size_t p0,
+    std::size_t kc, std::size_t j0, std::size_t nc, const float* bp,
+    float alpha, float beta, bool first_k_block, const store_epilogue* epi,
+    float* c, std::size_t ldc) {
+  run_m_block(a, i0, mc, p0, kc, j0, nc, bp, alpha, beta, first_k_block, epi,
+              c, ldc);
+}
+
+__attribute__((target("avx2"), flatten)) void gemm_small_avx2(
+    std::size_t m, std::size_t n, std::size_t k, float alpha,
+    const matrix_view& a, const matrix_view& b, float beta,
+    const store_epilogue* epi, float* c) {
+  gemm_small(m, n, k, alpha, a, b, beta, epi, c);
+}
+#endif
+
+/// The kernel sgemm dispatches to, picked once per process.
+const detail::sgemm_kernel& host_kernel() {
+  return detail::host_sgemm_kernels().back();
+}
+
+}  // namespace
+
+namespace detail {
+
+const std::vector<sgemm_kernel>& host_sgemm_kernels() {
+  static const std::vector<sgemm_kernel> kernels = [] {
+#if defined(__AVX512F__)
+    const char* baseline = "avx512f";
+#elif defined(__AVX2__)
+    const char* baseline = "avx2";
+#else
+    const char* baseline = "sse2";
+#endif
+    std::vector<sgemm_kernel> out{{baseline, run_m_block, gemm_small}};
+#if defined(APPEAL_SGEMM_AVX2)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      out.push_back({"avx2", run_m_block_avx2, gemm_small_avx2});
+    }
+#endif
+    return out;
+  }();
+  return kernels;
+}
+
+void sgemm_with(const sgemm_kernel& kernel, std::size_t m, std::size_t n,
+                std::size_t k, float alpha, const matrix_view& a,
+                const matrix_view& b, float beta, const store_epilogue* epi,
+                float* c) {
   if (alpha == 0.0F || m == 0 || n == 0 || k == 0) {
     if (epi != nullptr) {
       // Degenerate product is all zeros; the epilogue still applies.
@@ -330,14 +390,21 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k, float alpha,
     scale_c(m, n, beta, c);
     return;
   }
-  if (m * n * k <= kSmallFlops) {
-    gemm_small(m, n, k, alpha, a, b, beta, epi, c);
+  // A row-contiguous B narrower than one NR panel (the pointwise convs at
+  // batch 2-3) would run mostly-empty packed tiles. The small loops
+  // compute the same one-pass k-ordered sums as long as the packed path
+  // would not split k into KC blocks, so only k <= KC moves.
+  const bool narrow = b.col_stride == 1 && n < NR && k <= KC;
+  if (m * n * k <= kSmallFlops || narrow) {
+    kernel.small(m, n, k, alpha, a, b, beta, epi, c);
   } else {
-    gemm_packed(m, n, k, alpha, a, b, beta, epi, c, n);
+    gemm_packed(kernel, m, n, k, alpha, a, b, beta, epi, c, n);
   }
 }
 
-}  // namespace
+}  // namespace detail
+
+const char* sgemm_kernel_name() { return host_kernel().name; }
 
 std::size_t gemm_threads() {
   // Magic-static init: exactly one thread parses the environment and
@@ -369,30 +436,30 @@ void set_gemm_threads(std::size_t threads) {
 
 void sgemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
            const float* a, const float* b, float beta, float* c) {
-  gemm_dispatch(m, n, k, alpha, matrix_view{a, k, 1}, matrix_view{b, n, 1},
-                beta, nullptr, c);
+  detail::sgemm_with(host_kernel(), m, n, k, alpha, matrix_view{a, k, 1},
+                     matrix_view{b, n, 1}, beta, nullptr, c);
 }
 
 void sgemm_at(std::size_t m, std::size_t n, std::size_t k, float alpha,
               const float* a, const float* b, float beta, float* c) {
   // A stored [k x m]: A^T(i, kk) = a[kk * m + i].
-  gemm_dispatch(m, n, k, alpha, matrix_view{a, 1, m}, matrix_view{b, n, 1},
-                beta, nullptr, c);
+  detail::sgemm_with(host_kernel(), m, n, k, alpha, matrix_view{a, 1, m},
+                     matrix_view{b, n, 1}, beta, nullptr, c);
 }
 
 void sgemm_bt(std::size_t m, std::size_t n, std::size_t k, float alpha,
               const float* a, const float* b, float beta, float* c) {
   // B stored [n x k]: B^T(kk, j) = b[j * k + kk].
-  gemm_dispatch(m, n, k, alpha, matrix_view{a, k, 1}, matrix_view{b, 1, k},
-                beta, nullptr, c);
+  detail::sgemm_with(host_kernel(), m, n, k, alpha, matrix_view{a, k, 1},
+                     matrix_view{b, 1, k}, beta, nullptr, c);
 }
 
 void sgemm_bias_act(std::size_t m, std::size_t n, std::size_t k, float alpha,
                     const float* a, const float* b, const float* bias,
                     float act_lo, float act_hi, float* c) {
   const store_epilogue epi{bias, act_lo, act_hi};
-  gemm_dispatch(m, n, k, alpha, matrix_view{a, k, 1}, matrix_view{b, n, 1},
-                0.0F, &epi, c);
+  detail::sgemm_with(host_kernel(), m, n, k, alpha, matrix_view{a, k, 1},
+                     matrix_view{b, n, 1}, 0.0F, &epi, c);
 }
 
 tensor matmul(const tensor& a, const tensor& b) {

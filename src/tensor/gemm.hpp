@@ -2,10 +2,16 @@
 // layer.
 //
 // C = alpha * op(A) * op(B) + beta * C, row-major, with a packed,
-// cache-blocked kernel (GotoBLAS-style MC/NC/KC blocking around a 6x16
+// cache-blocked kernel (GotoBLAS-style MC/NC/KC blocking around an 8x16
 // register-tiled microkernel). All three layouts (A*B, A^T*B, A*B^T) route
 // through the same packing, so conv forward AND backward run the fast
-// path. Shapes too small to amortize packing use a direct register loop.
+// path. Shapes too small to amortize packing, and row-contiguous products
+// narrower than one packed column panel, use a direct register loop.
+//
+// Kernel selection: the kernel is chosen once per process from the host
+// CPU — an AVX2 build of the same source when __builtin_cpu_supports
+// ("avx2") says so, the baseline (build-flag ISA, SSE2 by default)
+// otherwise. Neither uses FMA, so every host computes the same bits.
 //
 // Threading: set_gemm_threads(t) splits the M dimension over a shared
 // util::thread_pool. Each M-block computes a disjoint row range of C with
@@ -29,6 +35,9 @@ void set_gemm_threads(std::size_t threads);
 
 /// Current intra-GEMM parallelism (reads APPEAL_GEMM_THREADS on first use).
 std::size_t gemm_threads();
+
+/// Name of the kernel this process runs ("sse2", "avx2", ...).
+const char* sgemm_kernel_name();
 
 /// Raw pointer GEMM: C[m x n] = alpha * A[m x k] * B[k x n] + beta * C.
 /// All matrices row-major and non-aliasing. beta == 0 overwrites C without

@@ -327,6 +327,10 @@ void qgemm_s8u8(const packed_s8& a, std::size_t n, const u8_view& b,
                           c_col_stride);
 }
 
+const char* qgemm_kernel_name() {
+  return detail::host_qgemm_kernels().back().name;
+}
+
 void qgemm_s8u8(std::size_t m, std::size_t n, std::size_t k,
                 const std::int8_t* a, const u8_view& b,
                 const qgemm_epilogue& epi, float* c, std::size_t c_row_stride,

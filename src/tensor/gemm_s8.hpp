@@ -104,6 +104,10 @@ void qgemm_s8u8(std::size_t m, std::size_t n, std::size_t k,
                 const qgemm_epilogue& epi, float* c, std::size_t c_row_stride,
                 std::size_t c_col_stride);
 
+/// Name of the microkernel qgemm_s8u8 runs in this process ("sse2" or
+/// "avx2").
+const char* qgemm_kernel_name();
+
 /// Quantizes n floats to an asymmetric u8 grid:
 /// q = clamp(round(x / scale) + zero_point, 0, 255), round half away from
 /// zero (matches nn::fake_quantize_value, so the real path and the

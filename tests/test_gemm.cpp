@@ -2,12 +2,15 @@
 // alpha/beta combinations.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/gemm_s8.hpp"
 #include "tensor/gemm_s8_kernels.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -188,10 +191,13 @@ TEST(gemm, randomized_shapes_match_naive) {
 
 // A C column must not depend on how many other columns ride in the same
 // product: the batch-1 pointwise convs (small kernel, 32768 MACs) and the
-// same weights at batch 2..16 (packed kernel) give bit-identical columns.
+// same weights at batch 2..16 (the small kernel while n < 16, then the
+// packed kernel) give bit-identical columns. The one-column shape walks
+// n through every width 2..16 around the narrow-n dispatch.
 TEST(gemm, columns_bit_identical_across_batch_sizes) {
   appeal::util::rng gen(105);
-  const std::size_t shapes[][3] = {{32, 64, 16}, {64, 16, 32}, {128, 4, 64}};
+  const std::size_t shapes[][3] = {
+      {32, 64, 16}, {64, 16, 32}, {128, 4, 64}, {128, 1, 64}};
   for (const auto& s : shapes) {
     const std::size_t m = s[0], cols = s[1], k = s[2];
     const auto a = random_matrix(m, k, gen);
@@ -615,6 +621,129 @@ TEST(qgemm_kernels, packed_weights_reused_across_calls) {
       ASSERT_EQ(c[i], ref[i]) << "packed n=" << n << " element " << i;
       ASSERT_EQ(c_raw[i], ref[i]) << "raw n=" << n << " element " << i;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Every fp32 kernel this host can run, against the baseline kernel, bit for
+// bit. The baseline is always listed, so it stays covered on AVX2 hosts
+// too; the public entry points run the last kernel, which the gemm.*
+// tests above check against the naive reference.
+
+using ops::detail::matrix_view;
+using ops::detail::store_epilogue;
+
+/// Runs every host kernel on C = alpha * A * B + beta * C (or the fused
+/// epilogue) from the same starting C, and requires each result to equal
+/// the baseline kernel's in every bit.
+void expect_kernels_match_baseline(std::size_t m, std::size_t n,
+                                   std::size_t k, float alpha,
+                                   const matrix_view& a, const matrix_view& b,
+                                   float beta, const store_epilogue* epi,
+                                   appeal::util::rng& gen) {
+  const auto& kernels = ops::detail::host_sgemm_kernels();
+  const auto c0 = random_matrix(m, n, gen);
+  auto ref = c0;
+  ops::detail::sgemm_with(kernels.front(), m, n, k, alpha, a, b, beta, epi,
+                          ref.data());
+  for (const ops::detail::sgemm_kernel& kernel : kernels) {
+    auto c = c0;
+    ops::detail::sgemm_with(kernel, m, n, k, alpha, a, b, beta, epi,
+                            c.data());
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(c[i]),
+                std::bit_cast<std::uint32_t>(ref[i]))
+          << kernel.name << " sgemm " << m << "x" << n << "x" << k
+          << " element " << i;
+    }
+  }
+}
+
+/// Row-major A [m x k] times row-major B [k x n], plain and with a random
+/// bias and ReLU6 clamp.
+void expect_plain_and_fused_match(std::size_t m, std::size_t n,
+                                  std::size_t k, appeal::util::rng& gen) {
+  const auto a = random_matrix(m, k, gen);
+  const auto b = random_matrix(k, n, gen);
+  const auto bias = random_matrix(m, 1, gen);
+  const matrix_view av{a.data(), k, 1};
+  const matrix_view bv{b.data(), n, 1};
+  expect_kernels_match_baseline(m, n, k, 1.0F, av, bv, 0.0F, nullptr, gen);
+  const store_epilogue epi{bias.data(), 0.0F, 6.0F};
+  expect_kernels_match_baseline(m, n, k, 1.0F, av, bv, 0.0F, &epi, gen);
+}
+
+TEST(sgemm_kernels, baseline_kernel_is_always_available) {
+  const auto& kernels = ops::detail::host_sgemm_kernels();
+  ASSERT_FALSE(kernels.empty());
+#if !defined(__AVX2__)
+  EXPECT_EQ(std::string(kernels.front().name), "sse2");
+#endif
+  EXPECT_EQ(std::string(ops::sgemm_kernel_name()), kernels.back().name);
+}
+
+// The served MobileNet's dense layers at every batch 1..16, fused as the
+// serving path runs them: the stem's im2col product (k = 27) and the
+// three pointwise convs, on both sides of the small/narrow/packed
+// dispatch.
+TEST(sgemm_kernels, served_edge_shapes_match_baseline) {
+  struct layer_shape {
+    std::size_t m, cols, k;
+  };
+  const layer_shape served[] = {
+      {16, 256, 27}, {32, 64, 16}, {64, 16, 32}, {128, 4, 64}};
+  appeal::util::rng gen(2506);
+  for (std::size_t batch = 1; batch <= 16; ++batch) {
+    for (const layer_shape& l : served) {
+      expect_plain_and_fused_match(l.m, l.cols * batch, l.k, gen);
+    }
+  }
+}
+
+// Cloud ResNet-style products: k > KC = 256 splits the packed path into
+// K blocks (the epilogue fires only on the last), some narrower than one
+// panel, one spanning several MC row blocks.
+TEST(sgemm_kernels, cloud_shapes_with_k_blocks_match_baseline) {
+  appeal::util::rng gen(1152);
+  const std::size_t shapes[][3] = {{64, 64, 576},  {128, 16, 1152},
+                                   {128, 4, 1152}, {256, 8, 576},
+                                   {10, 4, 512},   {300, 33, 257}};
+  for (const auto& s : shapes) {
+    expect_plain_and_fused_match(s[0], s[1], s[2], gen);
+  }
+}
+
+// Ragged edges: m not a multiple of the 8-row tile, n not a multiple of
+// the 16-column panel (nor of the 2048-column block), k around KC.
+TEST(sgemm_kernels, ragged_edges_match_baseline) {
+  appeal::util::rng gen(813);
+  for (const std::size_t m : {1, 5, 9, 13, 129}) {
+    for (const std::size_t n : {1, 3, 15, 17, 33, 2049}) {
+      for (const std::size_t k : {1, 7, 31, 257}) {
+        if (m * n * k > (1U << 22)) continue;
+        expect_plain_and_fused_match(m, n, k, gen);
+      }
+    }
+  }
+}
+
+// The backward-pass layouts with alpha and beta in play: sgemm_at reads
+// A stored [k x m], sgemm_bt reads B stored [n x k].
+TEST(sgemm_kernels, transposed_views_match_baseline) {
+  appeal::util::rng gen(4242);
+  const std::size_t shapes[][3] = {
+      {16, 27, 256}, {32, 16, 64}, {7, 9, 11}, {64, 100, 300}, {130, 20, 40}};
+  for (const auto& s : shapes) {
+    const std::size_t m = s[0], n = s[1], k = s[2];
+    const auto a = random_matrix(m, k, gen);
+    const auto b = random_matrix(k, n, gen);
+    const matrix_view at{a.data(), 1, m};  // sgemm_at: A stored [k x m]
+    const matrix_view bt{b.data(), 1, k};  // sgemm_bt: B stored [n x k]
+    const matrix_view av{a.data(), k, 1};
+    const matrix_view bv{b.data(), n, 1};
+    expect_kernels_match_baseline(m, n, k, 0.75F, at, bv, 0.5F, nullptr, gen);
+    expect_kernels_match_baseline(m, n, k, 1.25F, av, bt, 1.0F, nullptr, gen);
+    expect_kernels_match_baseline(m, n, k, 1.0F, at, bt, 0.0F, nullptr, gen);
   }
 }
 

@@ -20,6 +20,8 @@
 #include "metrics/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "serve/engine.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/gemm_s8.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -396,6 +398,25 @@ TEST(engine, simulated_link_delay_shows_up_in_cloud_latency) {
 /// client threads drive the engine must add up, and after the drain every
 /// snapshot count equals its registry instrument minus the value it had
 /// when the engine (and its baseline) was built. TSan runs this suite.
+// A scrape names the GEMM kernel this host runs, for both precisions.
+TEST(engine, exports_the_gemm_kernels_in_force) {
+  const population p = make_population(16, 47);
+  serve::replay_edge_backend edge(p.little, p.scores);
+  serve::replay_cloud_backend cloud(p.big);
+  serve::engine eng(fast_config(),
+                    serve::engine_resources::standalone(edge, cloud));
+  const std::string text = obs::default_registry().render_prometheus();
+  for (const auto& [precision, kernel] :
+       {std::pair{"fp32", ops::sgemm_kernel_name()},
+        std::pair{"int8", ops::qgemm_kernel_name()}}) {
+    const std::string line = std::string("appeal_gemm_kernel_info{kernel=\"") +
+                             kernel + "\",precision=\"" + precision +
+                             "\"} 1\n";
+    EXPECT_NE(text.find(line), std::string::npos) << line;
+  }
+  eng.shutdown();
+}
+
 TEST(engine, live_snapshots_add_up_and_match_the_registry) {
   const std::size_t n = 4000;
   const population p = make_population(n, 61);
