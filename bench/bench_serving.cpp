@@ -1,7 +1,8 @@
 // Closed-loop serving load test, driven through the serve::server facade.
 //
 // A pool of client threads drives >= 10k synthetic requests through a
-// named deployment (sharded engines behind one cloud channel). Two runs
+// named deployment (one engine: N edge workers sharing one request queue,
+// appealing over one cloud channel). Two runs
 // share one workload:
 //   1. fixed δ taken from the offline system_eval sweep at --target_sr —
 //      online accuracy and SR must reproduce the offline prediction;
@@ -45,7 +46,7 @@
 //     sim run bit for bit (the loopback CI gate asserts this).
 //
 // Run:  ./bench_serving [--requests=20000] [--target_sr=0.9] [--seed=42]
-//       [--clients=64] [--pace_us=0] [--shards=2] [--workers=2] [--batch=16]
+//       [--clients=64] [--pace_us=0] [--workers=4] [--batch=16]
 //       [--max_wait_us=200] [--time_scale=0.2] [--edge_sim=1]
 //       [--backend=replay|network] [--edge_precision=fp32|int8|auto]
 //       [--cloud=replay|network]
@@ -414,7 +415,6 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = bench::bench_seed(args);
   const auto clients = static_cast<std::size_t>(args.get_int_or("clients", 64));
   const std::chrono::microseconds pace(args.get_int_or("pace_us", 0));
-  const auto shards = static_cast<std::size_t>(args.get_int_or("shards", 2));
   const std::string json_path = args.get_string_or("json", "");
   const std::string backend = args.get_string_or("backend", "replay");
   const bool network_backend = backend == "network";
@@ -434,13 +434,12 @@ int main(int argc, char** argv) {
                "serves no model to quantize)");
 
   serve::deployment_config cfg;
-  cfg.shards = shards;
   cfg.shard.batching.max_batch_size =
       static_cast<std::size_t>(args.get_int_or("batch", 16));
   cfg.shard.batching.max_wait =
       std::chrono::microseconds(args.get_int_or("max_wait_us", 200));
   cfg.shard.num_workers =
-      static_cast<std::size_t>(args.get_int_or("workers", 2));
+      static_cast<std::size_t>(args.get_int_or("workers", 4));
   cfg.shard.queue_capacity = static_cast<std::size_t>(
       args.get_int_or("queue_capacity", 1024));
   cfg.shard.channel.time_scale = args.get_double_or("time_scale", 0.2);
@@ -587,9 +586,10 @@ int main(int argc, char** argv) {
       collab::accuracy_vs_sr_curve(split, nullptr, {target_sr});
   const collab::sweep_point offline = curve.front();
   std::printf(
-      "=== bench_serving: %zu requests, %zu clients, %zu shards, seed %llu, "
-      "backend %s (%s), cloud %s, transport %s%s%s ===\n",
-      requests, clients, shards, static_cast<unsigned long long>(seed),
+      "=== bench_serving: %zu requests, %zu clients, %zu edge workers, "
+      "seed %llu, backend %s (%s), cloud %s, transport %s%s%s ===\n",
+      requests, clients, cfg.shard.num_workers,
+      static_cast<unsigned long long>(seed),
       backend.c_str(), serve::edge_precision_name(precision), cloud.c_str(),
       serve::transport_kind_name(cfg.shard.channel.transport),
       cfg.shard.channel.endpoint.empty() ? "" : " @ ",
@@ -629,13 +629,11 @@ int main(int argc, char** argv) {
   const std::string path = bench::results_path("serving.csv");
   {
     util::csv_writer csv(path);
-    csv.write_row({"mode", "requests", "shards", "throughput_rps", "p50_ms",
-                   "p95_ms", "p99_ms", "target_sr", "achieved_sr",
-                   "shed_rate", "online_accuracy", "offline_accuracy",
-                   "delta"});
+    csv.write_row({"mode", "requests", "throughput_rps", "p50_ms", "p95_ms",
+                   "p99_ms", "target_sr", "achieved_sr", "shed_rate",
+                   "online_accuracy", "offline_accuracy", "delta"});
     const auto add = [&](const char* mode, const run_result& r) {
       csv.write_row({std::string(mode), std::to_string(requests),
-                     std::to_string(shards),
                      std::to_string(r.stats.throughput_rps),
                      std::to_string(r.stats.p50_ms),
                      std::to_string(r.stats.p95_ms),
@@ -671,7 +669,6 @@ int main(int argc, char** argv) {
                  "  \"coalesce_ms\": %.3f,\n"
                  "  \"requests\": %zu,\n"
                  "  \"clients\": %zu,\n"
-                 "  \"shards\": %zu,\n"
                  "  \"seed\": %llu,\n"
                  "  \"target_sr\": %.6f,\n"
                  "  \"offline\": {\"delta\": %.6f, \"achieved_sr\": %.6f,"
@@ -682,7 +679,7 @@ int main(int argc, char** argv) {
                  cloud.c_str(),
                  serve::transport_kind_name(cfg.shard.channel.transport),
                  cfg.shard.channel.coalesce_window_ms, requests, clients,
-                 shards, static_cast<unsigned long long>(seed), target_sr,
+                 static_cast<unsigned long long>(seed), target_sr,
                  offline.delta, offline.achieved_sr, offline.accuracy);
     append_run_json(f, "fixed", fixed, /*last=*/false);
     append_run_json(f, "adaptive", adaptive, /*last=*/true);

@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
   //    real big network behind the simulated uplink, δ from the offline
   //    calibration.
   serve::deployment_config dep_cfg;
-  dep_cfg.shards = 1;  // one trained system -> one shard in this demo
   dep_cfg.precision = precision;
   dep_cfg.edge_weight_bits =
       precision == serve::edge_precision::fp32 ? 32 : 8;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -26,20 +28,25 @@ const char* policy_name(admission_policy p) {
   return "unknown";
 }
 
-obs::counter& verdict_counter(admission_policy p, const char* verdict) {
+obs::counter& verdict_counter(const std::string& deployment,
+                              admission_policy p, const char* verdict) {
+  obs::label_set labels;
+  if (!deployment.empty()) labels.emplace_back("deployment", deployment);
+  labels.emplace_back("policy", policy_name(p));
+  labels.emplace_back("verdict", verdict);
   return obs::default_registry().get_counter(
-      "appeal_admission_total", {{"policy", policy_name(p)},
-                                 {"verdict", verdict}},
+      "appeal_admission_total", std::move(labels),
       "admission verdicts at submit(), by policy");
 }
 
 }  // namespace
 
-admission_controller::admission_controller(const admission_config& cfg)
+admission_controller::admission_controller(const admission_config& cfg,
+                                           const std::string& deployment)
     : config_(cfg),
-      metric_admitted_(verdict_counter(cfg.policy, "admitted")),
-      metric_degraded_(verdict_counter(cfg.policy, "degraded")),
-      metric_shed_(verdict_counter(cfg.policy, "shed")) {
+      metric_admitted_(verdict_counter(deployment, cfg.policy, "admitted")),
+      metric_degraded_(verdict_counter(deployment, cfg.policy, "degraded")),
+      metric_shed_(verdict_counter(deployment, cfg.policy, "shed")) {
   APPEAL_CHECK(cfg.batch_headroom > 0.0 && cfg.batch_headroom <= 1.0,
                "batch_headroom must be in (0, 1]");
   APPEAL_CHECK(cfg.degrade_headroom >= 1.0,

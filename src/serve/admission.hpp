@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "serve/request.hpp"
@@ -66,7 +67,10 @@ enum class admission_verdict { admitted, degraded, shed, closed };
 /// engine at completion time).
 class admission_controller {
  public:
-  explicit admission_controller(const admission_config& cfg);
+  /// `deployment` (empty = unlabeled) labels the verdict counters, so
+  /// two deployments with the same policy export separate series.
+  explicit admission_controller(const admission_config& cfg,
+                                const std::string& deployment = "");
 
   /// Decides and performs the enqueue. On `admitted`/`degraded` the
   /// request has been moved into the queue (degraded requests have
@@ -101,9 +105,10 @@ class admission_controller {
   std::atomic<std::size_t> admitted_{0};
   std::atomic<std::size_t> degraded_{0};
   std::atomic<std::size_t> shed_{0};
-  /// Registry mirrors of the verdict counters, labeled {policy=...}. The
-  /// local atomics stay authoritative for per-instance reads (several
-  /// engines with the same policy share one registry instrument).
+  /// Registry mirrors of the verdict counters, labeled
+  /// {deployment=...,policy=...,verdict=...}. The local atomics stay
+  /// authoritative for per-instance reads (two unlabeled engines with the
+  /// same policy share one registry instrument).
   obs::counter& metric_admitted_;
   obs::counter& metric_degraded_;
   obs::counter& metric_shed_;

@@ -12,9 +12,8 @@
 //   - uds / tcp: the wire.hpp protocol to a real listening process
 //     (tools/cloud_stub), kernel backpressure replacing modeled
 //     occupancy.
-// Completions come back demuxed by a channel-assigned wire id (request
-// ids are only unique per engine shard; one channel serves all shards of
-// a deployment).
+// Completions come back demuxed by a channel-assigned wire id, so the
+// wire never depends on how the caller numbers its requests.
 //
 // Failure handling is a three-state circuit breaker, not a one-way
 // fallback:

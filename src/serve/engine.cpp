@@ -94,16 +94,12 @@ std::vector<edge_backend*> resolve_edge_backends(
   return backends;
 }
 
-/// Builds the engine-owned channel when no shared one was supplied.
-std::unique_ptr<cloud_channel> resolve_channel(const engine_resources& res,
-                                               cloud_backend* owned_cloud,
-                                               const engine_config& cfg) {
-  if (res.shared_channel != nullptr) return nullptr;
-  cloud_backend* cloud =
-      res.shared_cloud != nullptr ? res.shared_cloud : owned_cloud;
-  APPEAL_CHECK(cloud != nullptr,
-               "engine needs a cloud backend or a shared channel");
-  return std::make_unique<cloud_channel>(*cloud, cfg.link, cfg.channel);
+/// The cloud backend behind the engine's channel: the borrowed one, or
+/// the one the engine owns.
+cloud_backend& resolve_cloud(cloud_backend* shared, cloud_backend* owned) {
+  cloud_backend* cloud = shared != nullptr ? shared : owned;
+  APPEAL_CHECK(cloud != nullptr, "engine needs a cloud backend");
+  return *cloud;
 }
 
 }  // namespace
@@ -131,19 +127,8 @@ engine_resources engine_resources::owning(
   return res;
 }
 
-engine_resources engine_resources::shard(
-    std::vector<std::unique_ptr<edge_backend>> per_worker_edge,
-    cloud_channel& channel, threshold_controller& controller,
-    serve_stats& stats) {
-  engine_resources res;
-  res.owned_edge = std::move(per_worker_edge);
-  res.shared_channel = &channel;
-  res.shared_controller = &controller;
-  res.shared_stats = &stats;
-  return res;
-}
-
-engine::engine(const engine_config& cfg, engine_resources&& res)
+engine::engine(const engine_config& cfg, engine_resources&& res,
+               std::string link_name)
     : config_(cfg),
       sampler_(cfg.trace_sample_rate),
       owned_edge_(std::move(res.owned_edge)),
@@ -151,21 +136,11 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
       edge_backends_(resolve_edge_backends(res.shared_edge, owned_edge_,
                                            cfg.num_workers)),
       queue_(cfg.queue_capacity),
-      owned_channel_(resolve_channel(res, owned_cloud_.get(), config_)),
-      channel_(res.shared_channel != nullptr ? res.shared_channel
-                                             : owned_channel_.get()),
-      owned_controller_(res.shared_controller != nullptr
-                            ? nullptr
-                            : std::make_unique<threshold_controller>(
-                                  cfg.threshold, &config_.link)),
-      owned_stats_(res.shared_stats != nullptr
-                       ? nullptr
-                       : std::make_unique<serve_stats>(cfg.stats, channel_)),
-      controller_(res.shared_controller != nullptr ? res.shared_controller
-                                                   : owned_controller_.get()),
-      stats_(res.shared_stats != nullptr ? res.shared_stats
-                                         : owned_stats_.get()),
-      admission_(cfg.admission),
+      channel_(resolve_cloud(res.shared_cloud, owned_cloud_.get()),
+               config_.link, config_.channel, std::move(link_name)),
+      controller_(cfg.threshold, &config_.link),
+      stats_(cfg.stats, &channel_),
+      admission_(cfg.admission, cfg.stats.deployment),
       ingress_("ingress", cfg.stats.deployment),
       edge_("edge_infer", cfg.stats.deployment),
       decide_("appeal_decide", cfg.stats.deployment),
@@ -211,7 +186,7 @@ std::future<response> engine::submit(inference_request&& req) {
   // edge_only degrades early instead of queueing appeals for a sick
   // uplink. Polled here (one relaxed load) rather than pushed so the
   // signal is fresh at every admission decision.
-  admission_.set_cloud_pressure(channel_->under_pressure());
+  admission_.set_cloud_pressure(channel_.under_pressure());
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   const admission_verdict verdict = admission_.try_admit(queue_, r);
   if (verdict == admission_verdict::closed) {
@@ -229,7 +204,6 @@ std::future<response> engine::submit(inference_request&& req) {
     response resp;
     resp.id = r.id;
     resp.status = request_status::shed;
-    resp.shard = config_.shard_id;
     ingress_.egress();
     complete(std::move(r), std::move(resp));
   } else {
@@ -259,7 +233,7 @@ void engine::shutdown() {
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
-  channel_->drain();
+  channel_.drain();
 }
 
 void engine::worker(edge_backend& backend) {
@@ -337,7 +311,6 @@ void engine::decide(std::vector<request>& expired, std::vector<request>& live,
     response resp;
     resp.id = r.id;
     resp.status = request_status::expired;
-    resp.shard = config_.shard_id;
     resp.queue_ms = ms_between(r.enqueue_time, r.dequeue_time);
     if (r.trace != nullptr) {
       r.trace->set(obs::stage::queue_wait, resp.queue_ms);
@@ -352,7 +325,7 @@ void engine::decide(std::vector<request>& expired, std::vector<request>& live,
   // requests bypass the decision (they may never appeal) and stay out of
   // the controller's observation, both the skip count and the score
   // denominator, so observed_sr stays the rate over δ-decided traffic.
-  const double delta = controller_->delta();
+  const double delta = controller_.delta();
   std::vector<double> decided_scores;
   decided_scores.reserve(live.size());
   std::size_t skipped = 0;
@@ -369,7 +342,6 @@ void engine::decide(std::vector<request>& expired, std::vector<request>& live,
       resp.id = r.id;
       resp.predicted_class = inference.predictions[i];
       resp.taken = r.force_edge ? route::edge_degraded : route::edge;
-      resp.shard = config_.shard_id;
       resp.score = score;
       resp.delta = delta;
       resp.queue_ms = queue_ms;
@@ -381,20 +353,19 @@ void engine::decide(std::vector<request>& expired, std::vector<request>& live,
       appeal(std::move(r), score, delta, queue_ms);
     }
   }
-  controller_->observe(decided_scores, skipped);
+  controller_.observe(decided_scores, skipped);
 }
 
 void engine::appeal(request&& r, double score, double delta,
                     double queue_ms) {
   cloud_.in();
-  channel_->appeal(
+  channel_.appeal(
       std::move(r),
       [this, score, delta, queue_ms](request&& done,
                                      const appeal_outcome& outcome) {
         response resp;
         resp.id = done.id;
         resp.taken = route::cloud;
-        resp.shard = config_.shard_id;
         resp.score = score;
         resp.delta = delta;
         resp.queue_ms = queue_ms;
@@ -404,7 +375,7 @@ void engine::appeal(request&& r, double score, double delta,
         // latency-SLO controller (no-op in the other modes): a cloud_ms
         // spike backs δ off toward edge-only and it recovers when the
         // link normalizes.
-        controller_->observe_cloud_ms(outcome.link_ms);
+        controller_.observe_cloud_ms(outcome.link_ms);
         if (outcome.expired) {
           // The cloud shed the appeal (deadline blown in its work
           // queue): the client gets an honest `expired`, not a
@@ -436,7 +407,7 @@ void engine::complete(request&& r, response&& resp) {
     obs::default_collector().record(std::move(span));
     r.trace.reset();
   }
-  stats_->record(resp, labeled, correct);
+  stats_.record(resp, labeled, correct);
   r.promise.set_value(std::move(resp));
   if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard<std::mutex> lock(drain_mutex_);

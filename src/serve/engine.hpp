@@ -1,4 +1,5 @@
-// The online edge/cloud collaborative inference engine (one shard).
+// The online edge/cloud collaborative inference engine: everything one
+// deployment serves with.
 //
 // A request takes four steps, each with its own request ledger:
 //
@@ -30,11 +31,10 @@
 // and complete()'s `complete` residual absorbs everything else, so the
 // stages of a span always sum to its total.
 //
-// Ownership: engine_resources says what the engine owns vs shares. A
-// standalone engine owns its channel/controller/stats; a serve::deployment
-// shard shares the deployment's cloud_channel, threshold_controller (the
-// per-deployment δ), and serve_stats (the per-deployment aggregation
-// point).
+// Ownership: the engine always owns its cloud_channel (the one uplink),
+// threshold_controller (the one δ) and serve_stats (the one ledger).
+// engine_resources only says whether the edge and cloud backends are
+// owned or borrowed.
 //
 // Threading: `num_workers` edge threads (one backend per worker so
 // stateful backends such as network_edge_backend stay single-threaded,
@@ -105,8 +105,6 @@ struct engine_config {
   /// (edge_mflops / edge_gflops, scaled by channel.time_scale) — the batch
   /// runs as one parallel pass on the edge accelerator.
   bool simulate_edge_compute = false;
-  /// Stamped into response::shard; set by the owning deployment.
-  std::size_t shard_id = 0;
   /// Fraction of requests that get a trace span (0 = tracing off,
   /// 1 = every request; 0.01 traces every 100th). Sampled spans are
   /// stamped at each stage boundary and land in obs::default_collector().
@@ -120,19 +118,14 @@ struct engine_config {
   std::size_t gemm_threads = 0;
 };
 
-/// Everything an engine runs on, bundled so one constructor covers the
-/// owned-vs-shared matrix the three legacy constructors hardwired.
-/// Members left unset are built by the engine from its engine_config:
+/// The backends an engine runs on. Everything else (channel, δ
+/// controller, stats) the engine builds from its engine_config:
 ///
 ///   edge   — either `shared_edge` (one thread-safe backend used by every
 ///            worker; must be thread-safe or num_workers == 1) or
 ///            `owned_edge` (exactly one backend per worker, engine-owned);
-///   cloud  — when `shared_channel` is set the backends here are ignored
-///            (the channel already has one); otherwise the engine builds
-///            its own cloud_channel over `shared_cloud` or `owned_cloud`;
-///   shared_controller / shared_stats — deployment mode: the engine
-///            records into the deployment's shared instances and
-///            cfg.threshold / cfg.stats are not used to build anything.
+///   cloud  — either `shared_cloud` or `owned_cloud`, scored behind the
+///            engine's cloud_channel.
 ///
 /// Use the named factories below rather than filling fields by hand.
 struct engine_resources {
@@ -140,9 +133,6 @@ struct engine_resources {
   edge_backend* shared_edge = nullptr;
   std::unique_ptr<cloud_backend> owned_cloud;
   cloud_backend* shared_cloud = nullptr;
-  cloud_channel* shared_channel = nullptr;
-  threshold_controller* shared_controller = nullptr;
-  serve_stats* shared_stats = nullptr;
 
   /// Single shared edge backend + shared cloud backend, nothing owned —
   /// the minimal single-model test setup.
@@ -153,21 +143,16 @@ struct engine_resources {
   static engine_resources owning(
       const engine_config& cfg, const worker_edge_factory& edge_factory,
       const std::function<std::unique_ptr<cloud_backend>()>& cloud_factory);
-
-  /// Deployment shard: owns its per-worker edge backends, shares the
-  /// deployment's channel, δ controller, and stats sink.
-  static engine_resources shard(
-      std::vector<std::unique_ptr<edge_backend>> per_worker_edge,
-      cloud_channel& channel, threshold_controller& controller,
-      serve_stats& stats);
 };
 
 class engine {
  public:
-  /// The one constructor: cfg describes the graph, res supplies (or
-  /// names) what it runs on. See engine_resources for the resolution
-  /// rules.
-  engine(const engine_config& cfg, engine_resources&& res);
+  /// cfg describes the engine, res supplies the backends it runs on.
+  /// `link_name` names the cloud channel: the {link} label on its
+  /// instruments and the `model` field of its wire frames (a deployment
+  /// passes its own name; empty for a standalone engine).
+  engine(const engine_config& cfg, engine_resources&& res,
+         std::string link_name = "");
 
   ~engine();
 
@@ -186,8 +171,8 @@ class engine {
   /// the configured admission policy. `block` waits for queue space;
   /// `shed` and `edge_only` never block — a refused request resolves its
   /// future immediately with request_status::shed. The `model` field is
-  /// ignored here: routing happened above (serve::server picked the
-  /// deployment, the deployment picked this shard and strips the field).
+  /// ignored here: serve::server already picked the deployment, which
+  /// strips the field.
   /// Throws util::error after shutdown.
   std::future<response> submit(inference_request&& req);
 
@@ -199,11 +184,10 @@ class engine {
   /// channel. Idempotent; also invoked by the destructor.
   void shutdown();
 
-  const serve_stats& stats() const { return *stats_; }
+  const serve_stats& stats() const { return stats_; }
 
-  /// The stats sink's snapshot (the deployment-wide one in shard mode),
-  /// cloud-link counters included.
-  stats_snapshot snapshot() const { return stats_->snapshot(); }
+  /// Snapshot since the last reset_stats(), cloud-link counters included.
+  stats_snapshot snapshot() const { return stats_.snapshot(); }
 
   /// The four request ledgers (ingress, edge_infer, appeal_decide,
   /// cloud_appeal), in that order. Once shut down: in == out + egress at
@@ -215,15 +199,11 @@ class engine {
 
   /// Opens a new stats window (counters, latency buckets, clock, and the
   /// cloud-link counters together) — call after a warmup phase, with no
-  /// requests in flight. In shard mode this resets the deployment-wide
-  /// sink. The threshold controller keeps its state.
-  void reset_stats() { stats_->reset(); }
-  threshold_controller& controller() { return *controller_; }
+  /// requests in flight. The threshold controller keeps its state.
+  void reset_stats() { stats_.reset(); }
+  threshold_controller& controller() { return controller_; }
+  const cloud_channel& channel() const { return channel_; }
   const admission_controller& admission() const { return admission_; }
-
-  /// Approximate instantaneous queue depth (the least-loaded router's
-  /// load signal; lock-free so routing never touches the queue mutex).
-  std::size_t queue_depth() const { return queue_.approx_size(); }
 
  private:
   /// One step's in/out/egress request counts: a local atomic per column
@@ -278,12 +258,9 @@ class engine {
   std::unique_ptr<cloud_backend> owned_cloud_;
   std::vector<edge_backend*> edge_backends_;
   request_queue queue_;
-  std::unique_ptr<cloud_channel> owned_channel_;
-  cloud_channel* channel_;
-  std::unique_ptr<threshold_controller> owned_controller_;
-  std::unique_ptr<serve_stats> owned_stats_;
-  threshold_controller* controller_;
-  serve_stats* stats_;
+  cloud_channel channel_;
+  threshold_controller controller_;
+  serve_stats stats_;  // windows channel_'s counters too
   admission_controller admission_;
   ledger ingress_;
   ledger edge_;

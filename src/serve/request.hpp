@@ -44,7 +44,6 @@ struct response {
   std::size_t predicted_class = 0;
   request_status status = request_status::ok;
   route taken = route::edge;
-  std::size_t shard = 0;   // engine shard that served the request
   double score = 0.0;      // edge confidence score (higher = easier)
   double delta = 0.0;      // threshold in force at decision time
   double queue_ms = 0.0;   // enqueue -> pulled into a batch

@@ -50,7 +50,6 @@ void request_queue::push_locked(request&& r) {
   any_pushed_ = true;
   last_enqueue_ = std::max(last_enqueue_, r.enqueue_time);
   lane(r.priority).push_back(std::move(r));
-  approx_size_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool request_queue::pop_locked(request& out) {
@@ -63,7 +62,6 @@ bool request_queue::pop_locked(request& out) {
   } else {
     return false;
   }
-  approx_size_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 

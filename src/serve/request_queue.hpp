@@ -77,11 +77,6 @@ class request_queue {
   void close();
 
   std::size_t size() const;
-  /// Lock-free approximate size — the least-loaded router's load signal;
-  /// avoids taking the queue mutex on the submit hot path.
-  std::size_t approx_size() const {
-    return approx_size_.load(std::memory_order_relaxed);
-  }
   std::size_t capacity() const { return capacity_; }
 
  private:
@@ -101,7 +96,6 @@ class request_queue {
   std::condition_variable not_empty_;
   std::deque<request> interactive_;
   std::deque<request> batch_;
-  std::atomic<std::size_t> approx_size_{0};
   // Written under mutex_, read lock-free by mean_enqueue_gap().
   std::atomic<std::int64_t> mean_gap_ns_{
       std::chrono::nanoseconds::max().count()};

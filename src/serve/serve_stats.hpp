@@ -7,8 +7,7 @@
 // minus a baseline taken at construction and at reset(). The baseline
 // also covers the deployment's cloud link (its link_counters), so
 // request counters, latency buckets, and wire counters always describe
-// one window. One serve_stats instance serves a whole deployment: every
-// engine shard records into the deployment's shared instance.
+// one window. Each engine (so each deployment) owns one serve_stats.
 //
 // Latency quantiles come from the log-linear obs::histogram (every
 // quantile within 1/64 of the exact sample quantile); observations past

@@ -8,8 +8,8 @@
 //   auto fut = srv.submit({.model = "vision", .key = k, ...});
 //
 // The inference_request names its deployment, carries a priority class
-// (interactive / batch) and an optional relative deadline; the deployment
-// routes it across its engine shards (key-affine or least-loaded) and its
+// (interactive / batch) and an optional relative deadline; the
+// deployment's one engine queues it for its edge workers, and its
 // admission policy decides what a full queue means (block, shed, or
 // degrade to an edge-only answer). Statistics aggregate per deployment;
 // stats() reports every deployment's snapshot for one scrape.
@@ -37,7 +37,7 @@ class server {
   server(const server&) = delete;
   server& operator=(const server&) = delete;
 
-  /// Registers a named deployment and starts its shards. Throws
+  /// Registers a named deployment and starts its engine. Throws
   /// util::error on a duplicate name or after shutdown().
   deployment& register_deployment(const std::string& name,
                                   const deployment_config& cfg,

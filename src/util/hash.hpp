@@ -10,7 +10,7 @@ namespace appeal::util {
 std::uint64_t fnv1a64(const std::string& bytes);
 
 /// splitmix64 finalizer: fast full-avalanche mixing of one 64-bit word
-/// (shard routing, the synthetic cloud scorer).
+/// (the synthetic cloud scorer).
 std::uint64_t mix64(std::uint64_t x);
 
 /// Hex rendering of a 64-bit hash (16 lowercase hex digits).

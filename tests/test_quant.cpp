@@ -426,7 +426,6 @@ TEST(quant, served_int8_accuracy_within_budget_of_fp32) {
         core::delta_for_skipping_rate(pass.scores, target_sr);
 
     serve::deployment_config dep;
-    dep.shards = 1;
     dep.shard.num_workers = 1;  // network backends are single-threaded
     dep.shard.stats.deployment = name;
     dep.shard.threshold.adapt = serve::threshold_config::mode::fixed;

@@ -3,7 +3,7 @@
 // from a wedged edge worker to admission, lossless shutdown with requests
 // still in flight (also when every request appeals and cloud completions
 // race the deciding worker), and the exported appeal_node_* counters of a
-// sharded deployment balancing in the registry's Prometheus rendering.
+// two-worker engine balancing in the registry's Prometheus rendering.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,18 +13,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "serve/deployment.hpp"
+#include "prometheus_sample.hpp"
 #include "serve/engine.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace appeal;
+using appeal::testing::prometheus_sample;
 
 // ----------------------------------------------------- engine integration
 
@@ -270,21 +270,6 @@ TEST(pipeline_engine, shutdown_with_in_flight_items_loses_nothing) {
 /// The exported appeal_node_* columns of each node, by node name.
 using exported_ledgers = std::map<std::string, serve::pipeline::node_stats>;
 
-/// The value of the `family{labels}` sample in a Prometheus rendering
-/// (labels exactly as rendered); a missing sample fails the test.
-double sample(const std::string& text, const std::string& family,
-              const std::string& labels) {
-  const std::string head = family + "{" + labels + "} ";
-  std::istringstream lines(text);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.compare(0, head.size(), head) == 0) {
-      return std::stod(line.substr(head.size()));
-    }
-  }
-  ADD_FAILURE() << "no sample " << head;
-  return 0.0;
-}
-
 exported_ledgers scrape_ledgers(const std::string& text,
                                 const std::string& deployment,
                                 const std::vector<std::string>& nodes) {
@@ -295,44 +280,46 @@ exported_ledgers scrape_ledgers(const std::string& text,
     serve::pipeline::node_stats& s = out[node];
     s.name = node;
     s.in = static_cast<std::uint64_t>(
-        sample(text, "appeal_node_in_total", labels));
+        prometheus_sample(text, "appeal_node_in_total", labels));
     s.out = static_cast<std::uint64_t>(
-        sample(text, "appeal_node_out_total", labels));
+        prometheus_sample(text, "appeal_node_out_total", labels));
     s.egress = static_cast<std::uint64_t>(
-        sample(text, "appeal_node_egress_total", labels));
+        prometheus_sample(text, "appeal_node_egress_total", labels));
   }
   return out;
 }
 
-TEST(pipeline_engine, exported_ledgers_conserve_across_a_sharded_deployment) {
+TEST(pipeline_engine, exported_ledgers_conserve_across_two_edge_workers) {
   // The registry is process-wide and cumulative: a name of its own per
-  // run keeps the rows this deployment's alone (also under
-  // --gtest_repeat).
+  // run keeps the rows this engine's alone (also under --gtest_repeat).
   static int runs = 0;
   const std::string name = "ledger-gate-" + std::to_string(runs++);
   const std::size_t n = 3000;
   const population p = make_population(n, 73);
 
-  serve::deployment_config cfg;
-  cfg.shards = 2;
-  cfg.shard.batching.max_batch_size = 4;
-  cfg.shard.batching.max_wait = std::chrono::microseconds(200);
-  cfg.shard.num_workers = 1;
-  cfg.shard.queue_capacity = 8;
-  cfg.shard.admission.policy = serve::admission_policy::shed;
-  cfg.shard.channel.time_scale = 0.0;  // sim transport, no delays
-  cfg.shard.threshold.adapt = serve::threshold_config::mode::fixed;
-  cfg.shard.threshold.initial_delta = 0.55;
-  // Both shards' forwards wait at one gate until the first burst has
-  // overflowed the small queues, so the shed leg is exercised for sure.
+  serve::engine_config cfg;
+  cfg.batching.max_batch_size = 4;
+  cfg.batching.max_wait = std::chrono::microseconds(200);
+  cfg.num_workers = 2;
+  cfg.queue_capacity = 8;
+  cfg.admission.policy = serve::admission_policy::shed;
+  cfg.channel.time_scale = 0.0;  // sim transport, no delays
+  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
+  cfg.threshold.initial_delta = 0.55;
+  cfg.stats.deployment = name;
+  // Both workers' forwards wait at one gate until the first burst has
+  // overflowed the small queue, so the shed leg is exercised for sure.
   edge_gate gate;
-  serve::deployment dep(
-      name, cfg,
-      [&](std::size_t, std::size_t) {
-        return std::make_unique<gated_edge_backend>(gate, p.little,
-                                                    p.scores);
-      },
-      [&] { return std::make_unique<serve::replay_cloud_backend>(p.big); });
+  serve::engine eng(
+      cfg, serve::engine_resources::owning(
+               cfg,
+               [&](std::size_t) {
+                 return std::make_unique<gated_edge_backend>(gate, p.little,
+                                                             p.scores);
+               },
+               [&] {
+                 return std::make_unique<serve::replay_cloud_backend>(p.big);
+               }));
 
   std::vector<std::future<serve::response>> futures;
   futures.reserve(n);
@@ -345,14 +332,14 @@ TEST(pipeline_engine, exported_ledgers_conserve_across_a_sharded_deployment) {
     if (i % 4 == 0) {
       req.deadline = std::chrono::microseconds(i % 8 == 0 ? 1 : 10'000'000);
     }
-    futures.push_back(dep.submit(std::move(req)));
+    futures.push_back(eng.submit(std::move(req)));
   };
   const std::size_t burst = 200;
   for (std::size_t i = 0; i < burst; ++i) submit(i);
   gate.open();
   for (std::size_t i = burst; i < n; ++i) submit(i);
-  dep.drain();
-  dep.shutdown();
+  eng.drain();
+  eng.shutdown();
   for (auto& f : futures) f.get();
 
   const std::vector<std::string> order = {"ingress", "edge_infer",
@@ -373,32 +360,28 @@ TEST(pipeline_engine, exported_ledgers_conserve_across_a_sharded_deployment) {
   for (const std::string& node : order) egress += exported.at(node).egress;
   EXPECT_EQ(exported.at("ingress").in, egress);
   EXPECT_EQ(static_cast<double>(egress),
-            sample(text, "appeal_requests_total",
-                   "deployment=\"" + name + "\""));
+            prometheus_sample(text, "appeal_requests_total",
+                              "deployment=\"" + name + "\""));
   EXPECT_EQ(egress, n);
 
   // Every egress leg ran: shed at ingress, edge-kept and expired at the
   // decision, appeals at the cloud step.
-  const serve::stats_snapshot s = dep.snapshot();
+  const serve::stats_snapshot s = eng.snapshot();
   EXPECT_GT(s.shed, 0U);
   EXPECT_GT(s.expired, 0U);
   EXPECT_GT(s.edge_kept, 0U);
   EXPECT_GT(s.appealed, 0U);
 
-  // The registry rows are the sum over both shards' own ledgers.
+  // The registry rows are the engine's own ledgers.
+  const std::vector<serve::pipeline::node_stats> rows = eng.node_stats();
+  ASSERT_EQ(rows.size(), order.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
-    serve::pipeline::node_stats sum;
-    for (std::size_t shard = 0; shard < dep.num_shards(); ++shard) {
-      const serve::pipeline::node_stats row = dep.shard(shard).node_stats()[k];
-      EXPECT_EQ(row.name, order[k]);
-      sum.in += row.in;
-      sum.out += row.out;
-      sum.egress += row.egress;
-    }
+    const serve::pipeline::node_stats& row = rows[k];
+    EXPECT_EQ(row.name, order[k]);
     const serve::pipeline::node_stats& got = exported.at(order[k]);
-    EXPECT_EQ(got.in, sum.in) << order[k];
-    EXPECT_EQ(got.out, sum.out) << order[k];
-    EXPECT_EQ(got.egress, sum.egress) << order[k];
+    EXPECT_EQ(got.in, row.in) << order[k];
+    EXPECT_EQ(got.out, row.out) << order[k];
+    EXPECT_EQ(got.egress, row.egress) << order[k];
   }
 }
 

@@ -1,19 +1,21 @@
 // Multi-tenant server facade tests: two deployments with different
-// (little, big) replay pairs served concurrently through one server with
-// sharded engines, key-affine routing, per-deployment stats matching the
-// offline system_eval prediction, and non-blocking admission control
-// (shed / edge_only) under saturating load.
+// (little, big) replay pairs served concurrently through one server,
+// per-deployment stats matching the offline system_eval prediction,
+// per-deployment admission counters in the registry, and non-blocking
+// admission control (shed / edge_only) under saturating load.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
-#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "collab/system_eval.hpp"
+#include "obs/metrics.hpp"
+#include "prometheus_sample.hpp"
 #include "serve/admission.hpp"
 #include "serve/server.hpp"
 #include "util/error.hpp"
@@ -23,6 +25,7 @@
 namespace {
 
 using namespace appeal;
+using appeal::testing::prometheus_sample;
 using namespace std::chrono_literals;
 
 struct population {
@@ -60,10 +63,8 @@ collab::sweep_point offline_point(const population& p, double target_sr) {
   return collab::accuracy_vs_sr_curve(split, nullptr, {target_sr}).front();
 }
 
-serve::deployment_config replay_deployment_config(std::size_t shards,
-                                                  double delta) {
+serve::deployment_config replay_deployment_config(double delta) {
   serve::deployment_config cfg;
-  cfg.shards = shards;
   cfg.shard.batching.max_batch_size = 16;
   cfg.shard.batching.max_wait = std::chrono::microseconds(200);
   cfg.shard.num_workers = 2;
@@ -86,7 +87,21 @@ serve::cloud_backend_factory replay_cloud_factory(const population& p) {
   };
 }
 
-TEST(server, two_sharded_deployments_match_their_offline_predictions) {
+/// The registry is process-wide and cumulative: a name of its own per
+/// call keeps a test's rows its own (also under --gtest_repeat).
+std::string unique_name(const std::string& base) {
+  static int calls = 0;
+  return base + "-" + std::to_string(calls++);
+}
+
+double admission_sample(const std::string& text, const std::string& deployment,
+                        const char* policy, const char* verdict) {
+  return prometheus_sample(text, "appeal_admission_total",
+                           "deployment=\"" + deployment + "\",policy=\"" +
+                               policy + "\",verdict=\"" + verdict + "\"");
+}
+
+TEST(server, two_deployments_match_their_offline_predictions) {
   const std::size_t n = 4000;
   const population vision = make_population(n, 101, 0.8);
   const population speech = make_population(n, 202, 0.7);
@@ -95,11 +110,11 @@ TEST(server, two_sharded_deployments_match_their_offline_predictions) {
 
   serve::server srv;
   srv.register_deployment("vision",
-                          replay_deployment_config(3, vision_offline.delta),
+                          replay_deployment_config(vision_offline.delta),
                           replay_edge_factory(vision),
                           replay_cloud_factory(vision));
   srv.register_deployment("speech",
-                          replay_deployment_config(2, speech_offline.delta),
+                          replay_deployment_config(speech_offline.delta),
                           replay_edge_factory(speech),
                           replay_cloud_factory(speech));
   EXPECT_EQ(srv.num_deployments(), 2U);
@@ -146,25 +161,9 @@ TEST(server, two_sharded_deployments_match_their_offline_predictions) {
   // The two tenants really are different systems behind one front door.
   EXPECT_NE(vision_offline.delta, speech_offline.delta);
 
-  // Key-affine routing: every response was served by the shard the router
-  // maps its key to, and the traffic actually spread over >= 2 shards.
-  serve::deployment& vd = srv.at("vision");
-  ASSERT_EQ(vd.num_shards(), 3U);
-  std::set<std::size_t> shards_hit;
   for (std::size_t i = 0; i < n; ++i) {
-    const serve::response r = vision_futs[i].get();
-    EXPECT_EQ(r.status, serve::request_status::ok);
-    EXPECT_EQ(r.shard, vd.shard_for_key(i));
-    shards_hit.insert(r.shard);
-  }
-  EXPECT_GE(shards_hit.size(), 2U);
-  // Same key resubmitted -> same shard (affinity is a pure key property).
-  for (std::uint64_t key : {7ULL, 1234ULL, 3999ULL}) {
-    serve::inference_request again;
-    again.model = "vision";
-    again.key = key;
-    const serve::response r = srv.submit(std::move(again)).get();
-    EXPECT_EQ(r.shard, vd.shard_for_key(key));
+    EXPECT_EQ(vision_futs[i].get().status, serve::request_status::ok);
+    EXPECT_EQ(speech_futs[i].get().status, serve::request_status::ok);
   }
 
   const std::string report = srv.render_stats();
@@ -172,15 +171,15 @@ TEST(server, two_sharded_deployments_match_their_offline_predictions) {
   EXPECT_NE(report.find("deployment 'speech'"), std::string::npos);
 }
 
-/// A shard's snapshot and its deployment's are one window over one
-/// ledger: after either kind of reset they must agree on the request
-/// counters AND the shared cloud link's counters.
+/// The engine's snapshot and its deployment's are one window over one
+/// ledger: after a reset through either they must agree on the request
+/// counters AND the cloud link's counters.
 TEST(server, shard_and_deployment_snapshots_agree_after_reset) {
   const std::size_t n = 400;
   const population p = make_population(n, 303, 0.8);
   serve::server srv;
   serve::deployment& dep = srv.register_deployment(
-      "windows", replay_deployment_config(2, 0.6), replay_edge_factory(p),
+      "windows", replay_deployment_config(0.6), replay_edge_factory(p),
       replay_cloud_factory(p));
   const auto serve_all = [&] {
     for (std::size_t i = 0; i < n; ++i) {
@@ -194,17 +193,13 @@ TEST(server, shard_and_deployment_snapshots_agree_after_reset) {
   };
   const auto expect_agree = [&](const char* when) {
     const serve::stats_snapshot d = dep.snapshot();
-    for (std::size_t i = 0; i < dep.num_shards(); ++i) {
-      const serve::stats_snapshot s = dep.shard(i).snapshot();
-      EXPECT_EQ(s.submitted, d.submitted) << when << ", shard " << i;
-      EXPECT_EQ(s.completed, d.completed) << when << ", shard " << i;
-      EXPECT_EQ(s.appealed, d.appealed) << when << ", shard " << i;
-      EXPECT_EQ(s.link.completed, d.link.completed) << when << ", shard " << i;
-      EXPECT_EQ(s.link.wire.appeals_sent, d.link.wire.appeals_sent)
-          << when << ", shard " << i;
-      EXPECT_EQ(s.link.wire.bytes_sent, d.link.wire.bytes_sent)
-          << when << ", shard " << i;
-    }
+    const serve::stats_snapshot s = dep.shard(0).snapshot();
+    EXPECT_EQ(s.submitted, d.submitted) << when;
+    EXPECT_EQ(s.completed, d.completed) << when;
+    EXPECT_EQ(s.appealed, d.appealed) << when;
+    EXPECT_EQ(s.link.completed, d.link.completed) << when;
+    EXPECT_EQ(s.link.wire.appeals_sent, d.link.wire.appeals_sent) << when;
+    EXPECT_EQ(s.link.wire.bytes_sent, d.link.wire.bytes_sent) << when;
     return d;
   };
 
@@ -222,20 +217,50 @@ TEST(server, shard_and_deployment_snapshots_agree_after_reset) {
   EXPECT_EQ(d.link.wire.appeals_sent, d.appealed);
   EXPECT_EQ(d.link.completed, d.appealed);
 
-  dep.shard(1).reset_stats();
-  d = expect_agree("after shard reset");
+  dep.shard(0).reset_stats();
+  d = expect_agree("after engine reset");
   EXPECT_EQ(d.completed, 0U);
   EXPECT_EQ(d.link.wire.appeals_sent, 0U);
   EXPECT_EQ(d.link.wire.bytes_sent, 0U);
 }
 
+/// Two deployments with the same admission policy export separate
+/// appeal_admission_total rows, each counting only its own verdicts.
+TEST(server, admission_verdicts_are_labeled_per_deployment) {
+  const population p = make_population(200, 404, 0.8);
+  const std::string first = unique_name("adm-first");
+  const std::string second = unique_name("adm-second");
+  serve::server srv;
+  for (const std::string& name : {first, second}) {
+    srv.register_deployment(name, replay_deployment_config(0.6),
+                            replay_edge_factory(p), replay_cloud_factory(p));
+  }
+  const auto serve_n = [&](const std::string& name, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      serve::inference_request req;
+      req.model = name;
+      req.key = i;
+      srv.submit(std::move(req));
+    }
+  };
+  serve_n(first, 30);
+  serve_n(second, 70);
+  srv.drain();
+
+  const std::string text = obs::default_registry().render_prometheus();
+  EXPECT_EQ(admission_sample(text, first, "block", "admitted"), 30.0);
+  EXPECT_EQ(admission_sample(text, second, "block", "admitted"), 70.0);
+  EXPECT_EQ(admission_sample(text, first, "block", "shed"), 0.0);
+  EXPECT_EQ(admission_sample(text, second, "block", "shed"), 0.0);
+}
+
 TEST(server, unknown_model_and_duplicate_registration_throw) {
   const population p = make_population(64, 7, 0.8);
   serve::server srv;
-  srv.register_deployment("only", replay_deployment_config(1, 0.5),
+  srv.register_deployment("only", replay_deployment_config(0.5),
                           replay_edge_factory(p), replay_cloud_factory(p));
   EXPECT_THROW(srv.register_deployment("only",
-                                       replay_deployment_config(1, 0.5),
+                                       replay_deployment_config(0.5),
                                        replay_edge_factory(p),
                                        replay_cloud_factory(p)),
                util::error);
@@ -250,14 +275,15 @@ TEST(server, unknown_model_and_duplicate_registration_throw) {
 /// both by validate() and by the deployment constructor.
 TEST(server, validate_rejects_configs_that_serve_nothing) {
   const population p = make_population(64, 13, 0.8);
-  const serve::deployment_config good = replay_deployment_config(2, 0.5);
+  const serve::deployment_config good = replay_deployment_config(0.5);
   EXPECT_NO_THROW(serve::validate(good));
 
-  std::vector<serve::deployment_config> bad(4, good);
+  std::vector<serve::deployment_config> bad(5, good);
   bad[0].shards = 0;
-  bad[1].shard.num_workers = 0;
-  bad[2].shard.queue_capacity = 0;
-  bad[3].shard.batching.max_batch_size = 0;
+  bad[1].shards = 2;
+  bad[2].shard.num_workers = 0;
+  bad[3].shard.queue_capacity = 0;
+  bad[4].shard.batching.max_batch_size = 0;
   for (const serve::deployment_config& cfg : bad) {
     EXPECT_THROW(serve::validate(cfg), util::error);
     EXPECT_THROW(serve::deployment("bad", cfg, replay_edge_factory(p),
@@ -275,8 +301,8 @@ TEST(server, shed_admission_never_blocks_under_saturation) {
 
   // δ=0: every admitted request completes on the edge, so the only thing
   // pacing the system is the simulated edge compute below.
-  serve::deployment_config cfg = replay_deployment_config(2, 0.0);
-  cfg.shard.num_workers = 1;
+  serve::deployment_config cfg = replay_deployment_config(0.0);
+  cfg.shard.num_workers = 2;
   cfg.shard.queue_capacity = 4;
   cfg.shard.batching.max_batch_size = 4;
   cfg.shard.admission.policy = serve::admission_policy::shed;
@@ -285,8 +311,9 @@ TEST(server, shed_admission_never_blocks_under_saturation) {
   cfg.shard.simulate_edge_compute = true;
   cfg.shard.channel.time_scale = 50.0 / cfg.shard.link.overall_latency_ms(1.0);
 
+  const std::string slow = unique_name("slow");
   serve::server srv;
-  srv.register_deployment("slow", cfg, replay_edge_factory(p),
+  srv.register_deployment(slow, cfg, replay_edge_factory(p),
                           replay_cloud_factory(p));
 
   util::stopwatch clock;
@@ -294,15 +321,15 @@ TEST(server, shed_admission_never_blocks_under_saturation) {
   futs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     serve::inference_request req;
-    req.model = "slow";
+    req.model = slow;
     req.key = i;
     req.label = p.labels[i];
     futs.push_back(srv.submit(std::move(req)));
   }
   const double submit_seconds = clock.elapsed_seconds();
-  // 500 requests through 2 shards draining 4-request batches at ~50 ms
-  // per batch would need > 3 s if submit blocked; shedding keeps the
-  // producer loop effectively instant.
+  // 500 requests through 2 edge workers draining 4-request batches at
+  // ~50 ms per batch would need > 3 s if submit blocked; shedding keeps
+  // the producer loop effectively instant.
   EXPECT_LT(submit_seconds, 2.0);
 
   srv.drain();
@@ -319,12 +346,17 @@ TEST(server, shed_admission_never_blocks_under_saturation) {
   }
   EXPECT_GT(shed, 0U);
   EXPECT_GT(ok, 0U);
-  const serve::stats_snapshot s = srv.at("slow").snapshot();
+  const serve::stats_snapshot s = srv.at(slow).snapshot();
   EXPECT_EQ(s.shed, shed);
   EXPECT_EQ(s.completed, ok);
   EXPECT_EQ(s.submitted, n);
   EXPECT_GT(s.shed_rate, 0.0);
-  EXPECT_EQ(srv.at("slow").shed_total(), shed);
+  // The exported admission verdicts agree with the responses.
+  const std::string text = obs::default_registry().render_prometheus();
+  EXPECT_EQ(admission_sample(text, slow, "shed", "shed"),
+            static_cast<double>(shed));
+  EXPECT_EQ(admission_sample(text, slow, "shed", "admitted"),
+            static_cast<double>(ok));
 }
 
 /// Same saturation under `edge_only`: the overflow band is admitted but
@@ -334,7 +366,7 @@ TEST(server, edge_only_admission_degrades_instead_of_appealing) {
   const std::size_t n = 300;
   const population p = make_population(n, 13, 0.8);
 
-  serve::deployment_config cfg = replay_deployment_config(1, 2.0);  // δ=2:
+  serve::deployment_config cfg = replay_deployment_config(2.0);  // δ=2:
   // every score < δ, so all *admitted* traffic would appeal.
   cfg.shard.num_workers = 1;
   cfg.shard.queue_capacity = 4;
