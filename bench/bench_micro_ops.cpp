@@ -8,11 +8,11 @@
 // so kernel work is measured on the geometry the δ cost model actually
 // inverts. The int8 edge path is covered kernel by kernel on the served
 // network's shapes — the quantized GEMM per dense layer, the depthwise
-// kernel per plane size — and end to end (fp32 and int8 edge forward),
-// each at serving batches 1, 4 and 16 (the fp32 forward also at 2 and 8,
-// where the pointwise convs cross the 16-column packed panel). The
-// MobileNet GEMM shapes also run once per fp32 kernel the host can
-// execute (baseline and, on AVX2 hosts, the AVX2 build of the same code).
+// kernel per plane size — each at serving batches 1, 4 and 16, and end
+// to end (fp32 and int8 edge forward) at batches 1, 2, 4, 8 and 16. The
+// MobileNet GEMM shapes also run once per kernel the host can execute:
+// fp32 baseline and AVX2 build of the same code; int8 sse2, avx2 and
+// avxvnni. The report's context names the kernels in force.
 //
 // "GFLOPS"/"GOPS" are FLOPs (integer ops) per iteration divided by the
 // time per iteration, in units of 1e9.
@@ -35,6 +35,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/gemm_s8.hpp"
+#include "tensor/gemm_s8_kernels.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/rng.hpp"
@@ -173,48 +174,88 @@ void bm_conv2d_mobilenet_stem(benchmark::State& state) {
 BENCHMARK(bm_conv2d_mobilenet_stem)->Arg(1)->Arg(16);
 
 /// Quantized GEMM on one dense layer of the served int8 MobileNet, the
-/// weights pre-packed as qconv2d holds them: [m x k] s8 weights times the
-/// [k x cols * batch] u8 panel; the argument is the serving batch.
+/// weights pre-packed as qconv2d/qlinear hold them: [m x k] s8 weights
+/// times the u8 activations of `cols * batch` columns; the argument is the
+/// serving batch. A plain view is the conv's [k x n] im2col panel; a
+/// transposed one is qlinear's row-major [n x k] input, with C stored
+/// transposed as [n x m]. Runs through qgemm_s8u8 or, when `kernel` is
+/// set, through that explicit kernel on weights packed for it.
 void run_qgemm_shape(benchmark::State& state, std::size_t m, std::size_t cols,
-                     std::size_t k) {
+                     std::size_t k, bool transposed,
+                     const ops::detail::qgemm_kernel* kernel = nullptr) {
   const std::size_t n = cols * static_cast<std::size_t>(state.range(0));
   util::rng gen(9);
   std::vector<std::int8_t> a(m * k);
   std::vector<std::uint8_t> b(k * n);
   for (auto& v : a) v = static_cast<std::int8_t>(gen.uniform_int(-127, 127));
   for (auto& v : b) v = static_cast<std::uint8_t>(gen.uniform_int(0, 255));
-  const ops::packed_s8 packed(a.data(), m, k);
+  ops::packed_s8 packed;
+  if (kernel != nullptr) {
+    ops::detail::packed_s8_access::pack(packed, a.data(), m, k,
+                                        kernel->k_group);
+  } else {
+    packed = ops::packed_s8(a.data(), m, k);
+  }
   std::vector<float> scale(m, 1e-3F);
   std::vector<float> c(m * n);
   ops::qgemm_epilogue epi;
   epi.scale = scale.data();
   epi.act_lo = 0.0F;
   epi.act_hi = 6.0F;
-  const ops::u8_view view{b.data(), n, 1};
+  const ops::u8_view view =
+      transposed ? ops::u8_view{b.data(), 1, k} : ops::u8_view{b.data(), n, 1};
+  const std::size_t c_row_stride = transposed ? 1 : n;
+  const std::size_t c_col_stride = transposed ? m : 1;
   for (auto _ : state) {
-    ops::qgemm_s8u8(packed, n, view, epi, c.data(), n, 1);
+    if (kernel != nullptr) {
+      ops::detail::qgemm_s8u8_with(*kernel, packed, n, view, epi, c.data(),
+                                   c_row_stride, c_col_stride);
+    } else {
+      ops::qgemm_s8u8(packed, n, view, epi, c.data(), c_row_stride,
+                      c_col_stride);
+    }
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.counters["GOPS"] = giga_rate(2.0 * static_cast<double>(m) * n * k);
 }
 
-void bm_qgemm_mobilenet_stem(benchmark::State& s) {
-  run_qgemm_shape(s, 16, 256, 27);
-}
-BENCHMARK(bm_qgemm_mobilenet_stem)->Arg(1)->Arg(4)->Arg(16);
-void bm_qgemm_mobilenet_pw1(benchmark::State& s) {
-  run_qgemm_shape(s, 32, 64, 16);
-}
-BENCHMARK(bm_qgemm_mobilenet_pw1)->Arg(1)->Arg(4)->Arg(16);
-void bm_qgemm_mobilenet_pw2(benchmark::State& s) {
-  run_qgemm_shape(s, 64, 16, 32);
-}
-BENCHMARK(bm_qgemm_mobilenet_pw2)->Arg(1)->Arg(4)->Arg(16);
-void bm_qgemm_mobilenet_pw3(benchmark::State& s) {
-  run_qgemm_shape(s, 128, 4, 64);
-}
-BENCHMARK(bm_qgemm_mobilenet_pw3)->Arg(1)->Arg(4)->Arg(16);
+// The served int8 MobileNet's GEMMs: the stem (k = 27), the three
+// pointwise convs and the approximator head (qlinear 128 -> 10, n = batch).
+// Each shape is one row through qgemm_s8u8, `bm_qgemm_mobilenet_<shape>`,
+// plus one row per kernel the host can run,
+// `bm_qgemm_mobilenet_<shape>/<kernel>`, each at batches 1, 4 and 16.
+const bool qgemm_rows_registered = [] {
+  struct named_shape {
+    const char* name;
+    std::size_t m, cols, k;
+    bool transposed;
+  };
+  static const named_shape shapes[] = {{"stem", 16, 256, 27, false},
+                                       {"pw1", 32, 64, 16, false},
+                                       {"pw2", 64, 16, 32, false},
+                                       {"pw3", 128, 4, 64, false},
+                                       {"head", 10, 1, 128, true}};
+  for (const named_shape& s : shapes) {
+    const std::string row = std::string("bm_qgemm_mobilenet_") + s.name;
+    benchmark::RegisterBenchmark(row.c_str(),
+                                 [&s](benchmark::State& st) {
+                                   run_qgemm_shape(st, s.m, s.cols, s.k,
+                                                   s.transposed);
+                                 })
+        ->Arg(1)->Arg(4)->Arg(16);
+    for (const ops::detail::qgemm_kernel& kernel :
+         ops::detail::host_qgemm_kernels()) {
+      benchmark::RegisterBenchmark(
+          (row + "/" + kernel.name).c_str(),
+          [&s, &kernel](benchmark::State& st) {
+            run_qgemm_shape(st, s.m, s.cols, s.k, s.transposed, &kernel);
+          })
+          ->Arg(1)->Arg(4)->Arg(16);
+    }
+  }
+  return true;
+}();
 
 /// Depthwise 3x3 stride-2 conv (groups == channels, fused ReLU6) on one
 /// of the served MobileNet's planes; the argument is the serving batch.
@@ -286,7 +327,7 @@ void run_edge_forward(benchmark::State& state, bool int8) {
 }
 
 void bm_edge_forward_int8(benchmark::State& s) { run_edge_forward(s, true); }
-BENCHMARK(bm_edge_forward_int8)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(bm_edge_forward_int8)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 void bm_edge_forward_fp32(benchmark::State& s) { run_edge_forward(s, false); }
 BENCHMARK(bm_edge_forward_fp32)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
@@ -357,6 +398,12 @@ int main(int argc, char** argv) {
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
+  // The GEMM kernels in force: per-kernel rows cover only what this host
+  // can run, and the dispatch rows run the last of them.
+  benchmark::AddCustomContext("fp32_gemm_kernel",
+                              appeal::ops::sgemm_kernel_name());
+  benchmark::AddCustomContext("int8_gemm_kernel",
+                              appeal::ops::qgemm_kernel_name());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -5,6 +5,7 @@
 
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace appeal::obs {
 
@@ -36,7 +37,10 @@ metrics_http_server::metrics_http_server(metrics_registry& registry,
     listener_ = net::listen_tcp(endpoint);
     port_ = net::local_tcp_port(listener_);
   }
-  thread_ = std::thread([this] { accept_loop(); });
+  thread_ = std::thread([this] {
+    util::set_thread_name("metrics-http");
+    accept_loop();
+  });
 }
 
 metrics_http_server::~metrics_http_server() { stop(); }
@@ -102,7 +106,10 @@ json_snapshot_writer::json_snapshot_writer(metrics_registry& registry,
       path_(std::move(path)),
       interval_(interval.count() > 0 ? interval
                                      : std::chrono::milliseconds(1000)) {
-  thread_ = std::thread([this] { loop(); });
+  thread_ = std::thread([this] {
+    util::set_thread_name("metrics-json");
+    loop();
+  });
 }
 
 json_snapshot_writer::~json_snapshot_writer() { stop(); }

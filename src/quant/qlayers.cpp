@@ -115,19 +115,41 @@ tensor qconv2d::forward(const tensor& input, bool training) {
   epi.act_lo = act_lo_;
   epi.act_hi = act_hi_;
 
-  // Quantize the input once, then lower the u8 codes side by side into
-  // one [patch x batch_cols] panel, padding with the code of 0.0.
-  nn::inference_workspace::buffer qin =
-      ws.borrow(bytes_as_floats(n * in_channels_ * in_plane));
-  ops::quantize_u8(input.data(), n * in_channels_ * in_plane, act_.scale,
-                   act_.zero_point, as_bytes(qin));
+  // The u8 codes of the whole batch, lowered side by side into one
+  // [patch x batch_cols] panel.
   nn::inference_workspace::buffer qbuf =
       ws.borrow(bytes_as_floats(patch * batch_cols));
-  for (std::size_t s = 0; s < n; ++s) {
-    ops::im2col_strided(g, as_bytes(qin) + s * in_channels_ * in_plane,
-                        as_bytes(qbuf) + s * cols, batch_cols, pad_code_);
+  std::uint8_t* panel = as_bytes(qbuf);
+  if (kernel_ == 1 && stride_ == 1 && padding_ == 0) {
+    // A 1x1, stride-1, unpadded conv lowers each sample to itself: its
+    // [c x hw] planes are its column range of the panel, and at batch 1
+    // the whole panel. Quantize straight into place; quantization is
+    // elementwise, so these are the codes quantize-then-lower writes.
+    if (n == 1) {
+      ops::quantize_u8(input.data(), in_channels_ * in_plane, act_.scale,
+                       act_.zero_point, panel);
+    } else {
+      for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t c = 0; c < in_channels_; ++c) {
+          ops::quantize_u8(input.data() + (s * in_channels_ + c) * in_plane,
+                           in_plane, act_.scale, act_.zero_point,
+                           panel + c * batch_cols + s * cols);
+        }
+      }
+    }
+  } else {
+    // Quantize the input once, then lower the codes, padding with the
+    // code of 0.0.
+    nn::inference_workspace::buffer qin =
+        ws.borrow(bytes_as_floats(n * in_channels_ * in_plane));
+    ops::quantize_u8(input.data(), n * in_channels_ * in_plane, act_.scale,
+                     act_.zero_point, as_bytes(qin));
+    for (std::size_t s = 0; s < n; ++s) {
+      ops::im2col_strided(g, as_bytes(qin) + s * in_channels_ * in_plane,
+                          panel + s * cols, batch_cols, pad_code_);
+    }
   }
-  const ops::u8_view b{as_bytes(qbuf), batch_cols, 1};
+  const ops::u8_view b{panel, batch_cols, 1};
 
   if (n == 1) {
     // Single sample: the [oc, cols] product IS the NCHW layout.

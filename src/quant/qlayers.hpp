@@ -12,7 +12,9 @@
 // qconv2d quantizes its input tensor once and lowers the u8 codes, with
 // the code of 0.0 (the activation zero point) as the padding value — the
 // same codes a float lowering followed by quantization would produce,
-// since quantization is elementwise.
+// since quantization is elementwise. A 1x1, stride-1, unpadded conv
+// skips the lowering: it quantizes each sample straight into its column
+// range of the GEMM panel.
 //
 // Both layers are inference-only (backward throws), allocation-free on
 // the warm path (u8 staging, im2col panels, and outputs come from the

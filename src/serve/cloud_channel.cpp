@@ -6,6 +6,7 @@
 #include "serve/transport/fault_transport.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace appeal::serve {
 
@@ -100,7 +101,10 @@ cloud_channel::cloud_channel(cloud_backend& backend,
         << util::kv("link", name_) << util::kv("error", e.what())
         << util::kv("cool_off_ms", config_.breaker_open_ms);
   }
-  worker_ = std::thread([this] { run(); });
+  worker_ = std::thread([this] {
+    util::set_thread_name("channel-send");
+    run();
+  });
 }
 
 cloud_channel::~cloud_channel() {

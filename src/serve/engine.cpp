@@ -8,6 +8,7 @@
 #include "tensor/gemm_s8.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace appeal::serve {
 
@@ -149,7 +150,10 @@ engine::engine(const engine_config& cfg, engine_resources&& res,
   workers_.reserve(edge_backends_.size());
   try {
     for (edge_backend* backend : edge_backends_) {
-      workers_.emplace_back([this, backend] { worker(*backend); });
+      workers_.emplace_back([this, backend, i = workers_.size()] {
+        util::set_thread_name("edge-" + std::to_string(i));
+        worker(*backend);
+      });
     }
   } catch (...) {
     shutdown();  // joins the workers already started

@@ -2,6 +2,7 @@
 
 #include "serve/transport/wire.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace appeal::serve {
 
@@ -37,7 +38,10 @@ void sim_transport::start(completion_sink on_complete, failure_sink) {
   APPEAL_CHECK(!started_, "sim_transport started twice");
   started_ = true;
   on_complete_ = std::move(on_complete);
-  timer_ = std::thread([this] { run(); });
+  timer_ = std::thread([this] {
+    util::set_thread_name("sim-link");
+    run();
+  });
 }
 
 void sim_transport::send_batch(const std::vector<const request*>& batch,

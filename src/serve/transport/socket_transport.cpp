@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace appeal::serve {
 
@@ -47,7 +48,10 @@ void socket_transport::start(completion_sink on_complete,
   socket_ = kind_ == transport_kind::uds ? net::connect_uds(endpoint_)
                                          : net::connect_tcp(endpoint_);
   net::set_send_timeout(socket_, send_timeout_ms_);
-  reader_ = std::thread([this] { reader_loop(); });
+  reader_ = std::thread([this] {
+    util::set_thread_name("channel-recv");
+    reader_loop();
+  });
 }
 
 void socket_transport::send_batch(const std::vector<const request*>& batch,

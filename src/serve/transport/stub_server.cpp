@@ -7,6 +7,7 @@
 
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace appeal::serve {
 
@@ -222,10 +223,15 @@ void stub_server::start() {
                   : net::listen_tcp(config_.endpoint);
   scorers_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
-    scorers_.emplace_back(
-        [this, score = std::move(scorers[w])] { scorer_loop(score); });
+    scorers_.emplace_back([this, w, score = std::move(scorers[w])] {
+      util::set_thread_name("stub-score-" + std::to_string(w));
+      scorer_loop(score);
+    });
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  acceptor_ = std::thread([this] {
+    util::set_thread_name("stub-accept");
+    accept_loop();
+  });
 }
 
 void stub_server::stop() {
@@ -307,7 +313,10 @@ void stub_server::accept_loop() {
       connections_.emplace(c->id, c);
     }
     connection* raw = c.get();
-    c->thread = std::thread([this, raw] { serve_connection(*raw); });
+    c->thread = std::thread([this, raw] {
+      util::set_thread_name("stub-conn-" + std::to_string(raw->id));
+      serve_connection(*raw);
+    });
   }
 }
 

@@ -3,22 +3,40 @@
 // C_f32 = epilogue(A_s8[m x k] * B_u8[k x n]) with int32 accumulators,
 // following the same GotoBLAS-style packing contract as the float kernel
 // (gemm.cpp): A is packed into MR-row panels, B into NR-column panels, and
-// a register-tiled microkernel runs the inner loop. Both panels interleave
-// k in PAIRS sized for the pairwise i16 dot-product instruction (pmaddwd:
-// two k steps per lane per instruction); B codes are widened u8 -> i16 at
-// pack time, A stores each k-pair of a row as one broadcastable i32.
-// Unlike the float kernel there is no KC blocking: the int32 accumulator
-// tile must survive the whole k extent (the requantize epilogue applies
-// exactly once), and at one byte per element a full-k panel pair
-// (MR*k + NR*k bytes) stays cache-resident for every geometry the model
-// zoo produces.
+// a register-tiled 6x8 microkernel runs the inner loop. Unlike the float
+// kernel there is no KC blocking: the int32 accumulator tile must survive
+// the whole k extent (the requantize epilogue applies exactly once), and
+// at one byte per element a full-k panel pair stays cache-resident for
+// every geometry the model zoo produces.
 //
-// Weights are constant, so A is packed ONCE into a packed_s8 (the layout
-// stays private to gemm_s8.cpp) and every call packs only B. The
-// microkernel is chosen once per process: an AVX2 kernel when the CPU has
-// it (one packed B k-pair — 8 columns x 2 i16 — is exactly one 256-bit
-// register), else the baseline SSE2 kernel. Both run the same integer
-// arithmetic on the same panels, so every kernel produces identical bits.
+// Three kernels, picked once per process from what the CPU supports; each
+// packs k in the groups its multiply instruction consumes:
+//   - sse2 (baseline) and avx2: k-PAIRS for the i16 pair dot product
+//     (pmaddwd / vpmaddwd). B codes are widened u8 -> i16 at pack time,
+//     and each k-pair of an A row is one broadcastable i32 of two i16.
+//     The microkernel writes the i32 tile to memory and a separate pass
+//     requantizes it.
+//   - avxvnni: k-QUADS for the u8 x s8 four-way dot product (VEX-encoded
+//     256-bit vpdpbusd). B stays u8, four k codes per column adjacent, so
+//     one panel quad (8 columns x 4) is one ymm; each k-quad of an A row
+//     is one broadcast i32 of four s8 codes. The requantize epilogue runs
+//     on the accumulator registers inside the same target-compiled block.
+// Every kernel computes the same bits: the exact integer sum, then the
+// same float epilogue. Each product is at most 255 * 127 = 32385 in
+// magnitude and every kernel adds into its i32 accumulators with
+// wrapping adds (paddd, or the accumulate inside vpdpbusd), so a sum
+// whose total fits in i32 is exact even when a running sum passes 2^31
+// on the way. vpdpbusd adds its four products to the accumulator with no
+// intermediate saturation, so it fits that contract. Two u8 x s8 forms
+// do not. vpmaddubsw saturates each PAIR sum to i16, and
+// 2 * 255 * 127 = 64770 > 32767. vpdpbusds saturates the accumulator, so
+// a running sum that passes 2^31 sticks at the bound. The requantize
+// epilogue runs the same float operations in the same order in every
+// kernel (convert, multiply, add, max, min; never FMA).
+//
+// Weights are constant, so A is packed ONCE into a packed_s8 in the
+// process kernel's k-group (the layout stays private to gemm_s8.cpp), and
+// every call packs only B.
 //
 // Quantization scheme (the cloud/edge collaborative convention of
 // arXiv:1812.06426 and standard int8 deployments):
@@ -71,8 +89,8 @@ namespace detail {
 struct packed_s8_access;
 }
 
-/// A row-major s8 matrix A[m x k] packed once into the kernel's panel
-/// layout. Opaque: only gemm_s8.cpp reads the panels.
+/// A row-major s8 matrix A[m x k] packed once into the panel layout of
+/// the process's kernel. Opaque: only gemm_s8.cpp reads the panels.
 class packed_s8 {
  public:
   packed_s8() = default;
@@ -85,6 +103,7 @@ class packed_s8 {
   friend struct detail::packed_s8_access;
   std::size_t m_ = 0;
   std::size_t k_ = 0;
+  std::size_t k_group_ = 0;  // k steps per packed i32: 2 or 4
   std::vector<std::int32_t> panels_;
 };
 
@@ -104,8 +123,8 @@ void qgemm_s8u8(std::size_t m, std::size_t n, std::size_t k,
                 const qgemm_epilogue& epi, float* c, std::size_t c_row_stride,
                 std::size_t c_col_stride);
 
-/// Name of the microkernel qgemm_s8u8 runs in this process ("sse2" or
-/// "avx2").
+/// Name of the kernel qgemm_s8u8 runs in this process ("sse2", "avx2"
+/// or "avxvnni").
 const char* qgemm_kernel_name();
 
 /// Quantizes n floats to an asymmetric u8 grid:

@@ -1,15 +1,28 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <cstring>
 #include <memory>
+#include <string>
 
 namespace appeal::util {
+
+void set_thread_name(std::string_view name) {
+  char buf[16] = {};
+  std::memcpy(buf, name.data(), std::min<std::size_t>(name.size(), 15));
+  pthread_setname_np(pthread_self(), buf);
+}
 
 thread_pool::thread_pool(std::size_t threads) {
   const std::size_t workers = threads > 1 ? threads - 1 : 0;
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] {
+      set_thread_name("pool-" + std::to_string(i));
+      worker_loop();
+    });
   }
 }
 

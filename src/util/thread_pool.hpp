@@ -18,10 +18,16 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace appeal::util {
+
+/// Names the calling thread, as /proc/<pid>/task/<tid>/comm, top and
+/// debuggers show it. Linux keeps 15 characters; a longer name is cut.
+/// Every long-lived serving thread names itself by its role.
+void set_thread_name(std::string_view name);
 
 class thread_pool {
  public:

@@ -2,7 +2,9 @@
 // alpha/beta combinations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -290,20 +292,24 @@ TEST(gemm, matmul_validates_shapes) {
 // ---------------------------------------------------------------------------
 // Quantized int8 GEMM (tensor/gemm_s8).
 
-/// Scalar reference for qgemm_s8u8: plain int32 accumulation plus the
-/// requantize epilogue, no packing, no blocking.
+/// Scalar reference for qgemm_s8u8: the exact integer sum (accumulated in
+/// 64 bits, so a running sum may pass the i32 range as long as the total
+/// fits) plus the requantize epilogue, no packing, no blocking.
 void naive_qgemm(std::size_t m, std::size_t n, std::size_t k,
                  const std::int8_t* a, const ops::u8_view& b,
                  const ops::qgemm_epilogue& epi, float* c,
                  std::size_t c_row_stride, std::size_t c_col_stride) {
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
+      std::int64_t sum = 0;
       for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int32_t>(a[i * k + kk]) *
-               static_cast<std::int32_t>(
+        sum += static_cast<std::int64_t>(a[i * k + kk]) *
+               static_cast<std::int64_t>(
                    b.p[kk * b.row_stride + j * b.col_stride]);
       }
+      const auto acc = static_cast<std::int32_t>(sum);
+      EXPECT_EQ(static_cast<std::int64_t>(acc), sum)
+          << "reference sum outside i32";
       const std::int32_t off =
           epi.row_offset != nullptr ? epi.row_offset[i] : 0;
       const float bias = epi.bias != nullptr ? epi.bias[i] : 0.0F;
@@ -451,22 +457,25 @@ TEST(qgemm, quantize_u8_matches_lround_contract) {
   appeal::util::rng gen(55);
   const float scale = 0.037F;
   for (const std::int32_t zp : {0, 1, 128, 254, 255}) {
-    std::vector<float> src(257);
-    for (auto& v : src) v = gen.uniform(-12.0F, 12.0F);
-    // Include exact ties and the saturation extremes.
-    src[0] = 0.5F * scale;
-    src[1] = -0.5F * scale;
-    src[2] = 1e6F;
-    src[3] = -1e6F;
-    src[4] = 0.0F;
-    std::vector<std::uint8_t> dst(src.size());
-    ops::quantize_u8(src.data(), src.size(), scale, zp, dst.data());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      const auto q = static_cast<std::int32_t>(
-          std::lround(static_cast<double>(src[i] / scale)) + zp);
-      const std::int32_t expected = std::min(std::max(q, 0), 255);
-      ASSERT_EQ(static_cast<std::int32_t>(dst[i]), expected)
-          << "zp=" << zp << " x=" << src[i];
+    // Lengths run the 16-wide loop, the 4-wide one and the scalar tail.
+    for (const std::size_t len : {257, 23, 7, 5}) {
+      std::vector<float> src(len);
+      for (auto& v : src) v = gen.uniform(-12.0F, 12.0F);
+      // Include exact ties and the saturation extremes.
+      src[0] = 0.5F * scale;
+      src[1] = -0.5F * scale;
+      src[2] = 1e6F;
+      src[3] = -1e6F;
+      src[4] = 0.0F;
+      std::vector<std::uint8_t> dst(src.size());
+      ops::quantize_u8(src.data(), src.size(), scale, zp, dst.data());
+      for (std::size_t i = 0; i < src.size(); ++i) {
+        const auto q = static_cast<std::int32_t>(
+            std::lround(static_cast<double>(src[i] / scale)) + zp);
+        const std::int32_t expected = std::min(std::max(q, 0), 255);
+        ASSERT_EQ(static_cast<std::int32_t>(dst[i]), expected)
+            << "zp=" << zp << " x=" << src[i];
+      }
     }
   }
 }
@@ -485,8 +494,9 @@ TEST(qgemm, s8_row_sums_matches_manual) {
 }
 
 // ---------------------------------------------------------------------------
-// Every microkernel this host can run, driven on pre-packed weights. The
-// SSE2 kernel is always listed, so it stays covered on AVX2 hosts too.
+// Every kernel this host can run, driven on weights packed in that
+// kernel's k-group. The SSE2 kernel is always listed, so it stays covered
+// on AVX2 and AVX-VNNI hosts too.
 
 /// A random requantize epilogue for m rows, with or without a fused clamp.
 struct random_epilogue {
@@ -521,11 +531,13 @@ void expect_kernels_match_naive(const std::vector<std::int8_t>& a,
                                 const ops::qgemm_epilogue& epi,
                                 std::size_t row_stride,
                                 std::size_t col_stride) {
-  const ops::packed_s8 packed(a.data(), m, k);
   std::vector<float> ref(m * n, -42.0F);
   naive_qgemm(m, n, k, a.data(), b, epi, ref.data(), row_stride, col_stride);
   for (const ops::detail::qgemm_kernel& kernel :
        ops::detail::host_qgemm_kernels()) {
+    ops::packed_s8 packed;
+    ops::detail::packed_s8_access::pack(packed, a.data(), m, k,
+                                        kernel.k_group);
     std::vector<float> c(m * n, -42.0F);
     ops::detail::qgemm_s8u8_with(kernel, packed, n, b, epi, c.data(),
                                  row_stride, col_stride);
@@ -540,6 +552,32 @@ TEST(qgemm_kernels, baseline_kernel_is_always_available) {
   const auto& kernels = ops::detail::host_qgemm_kernels();
   ASSERT_FALSE(kernels.empty());
   EXPECT_EQ(std::string(kernels.front().name), "sse2");
+  EXPECT_EQ(std::string(ops::qgemm_kernel_name()), kernels.back().name);
+  for (const ops::detail::qgemm_kernel& kernel : kernels) {
+    EXPECT_TRUE(kernel.k_group == 2 || kernel.k_group == 4) << kernel.name;
+  }
+}
+
+// Weights packed for one k-group cannot reach a kernel that reads the
+// other: the call throws instead of computing from a foreign layout.
+TEST(qgemm_kernels, rejects_weights_packed_for_another_k_group) {
+  appeal::util::rng gen(8);
+  const std::size_t m = 8, n = 8, k = 12;
+  const auto a = random_s8(m * k, gen);
+  const auto bbuf = random_u8(k * n, gen);
+  const random_epilogue e(m, gen, false);
+  const ops::detail::qgemm_kernel& baseline =
+      ops::detail::host_qgemm_kernels().front();
+  ops::detail::qgemm_kernel other = baseline;
+  other.k_group = 4;
+  ops::packed_s8 packed;
+  ops::detail::packed_s8_access::pack(packed, a.data(), m, k,
+                                      other.k_group);
+  std::vector<float> c(m * n);
+  EXPECT_THROW(ops::detail::qgemm_s8u8_with(baseline, packed, n,
+                                            ops::u8_view{bbuf.data(), n, 1},
+                                            e.epi, c.data(), n, 1),
+               appeal::util::error);
 }
 
 // The served MobileNet's dense layers at every batch 1..16: the stem
@@ -566,12 +604,13 @@ TEST(qgemm_kernels, served_shapes_match_naive) {
 }
 
 // Ragged edges: m not a multiple of the 6-row tile, n not a multiple of
-// the 8-column panel (nor of the 2048-column block), odd and tiny k.
+// the 8-column panel (nor of the 2048-column block), and k at every
+// remainder mod 2 and mod 4, so every k-group's padding runs.
 TEST(qgemm_kernels, ragged_edges_match_naive) {
   appeal::util::rng gen(426);
   for (const std::size_t m : {1, 5, 7, 13, 121}) {
     for (const std::size_t n : {1, 3, 9, 17, 2049}) {
-      for (const std::size_t k : {1, 2, 27, 33}) {
+      for (const std::size_t k : {1, 2, 3, 4, 5, 27, 33}) {
         const auto a = random_s8(m * k, gen);
         const auto bbuf = random_u8(k * n, gen);
         const random_epilogue e(m, gen, (m + n + k) % 2 == 0);
@@ -583,18 +622,60 @@ TEST(qgemm_kernels, ragged_edges_match_naive) {
 }
 
 // The qlinear layout: B is the transposed view of a row-major [n x k]
-// block, C is stored transposed as [n x m].
+// block, C is stored transposed as [n x m]. k = 128 is the served head;
+// k = 27 leaves a partial quad, so the transposed packing's tail runs.
 TEST(qgemm_kernels, transposed_view_matches_naive) {
   appeal::util::rng gen(1812);
-  for (const std::size_t n : {1, 4, 11, 16}) {
-    const std::size_t m = 10;
-    const std::size_t k = 128;
-    const auto a = random_s8(m * k, gen);
-    const auto x = random_u8(n * k, gen);
-    const random_epilogue e(m, gen, false);
-    expect_kernels_match_naive(a, m, n, k, ops::u8_view{x.data(), 1, k},
-                               e.epi, 1, m);
+  for (const std::size_t k : {27, 128}) {
+    for (std::size_t n = 1; n <= 16; ++n) {
+      const std::size_t m = 10;
+      const auto a = random_s8(m * k, gen);
+      const auto x = random_u8(n * k, gen);
+      const random_epilogue e(m, gen, n % 2 == 0);
+      expect_kernels_match_naive(a, m, n, k, ops::u8_view{x.data(), 1, k},
+                                 e.epi, 1, m);
+    }
   }
+}
+
+// The largest products: A codes at +-127 times B codes at 255 (and mixed
+// with 0), from k = 1 to 4096, with row offsets. A pair sum of 2 * 127 *
+// 255 overflows i16, so a kernel built on the saturating vpmaddubsw
+// fails here. The last case runs +127 over the first half of k and -127
+// over the second: the running sum passes 2^31 and comes back to a total
+// that fits, so only wrapping i32 accumulation (vpaddd, vpdpbusd) gets
+// it right; the saturating vpdpbusds sticks at the bound.
+TEST(qgemm_kernels, extreme_codes_accumulate_exactly) {
+  appeal::util::rng gen(127);
+  const std::size_t m = 7;
+  const std::size_t n = 9;
+  for (const std::size_t k : {1, 3, 4, 5, 27, 64, 255, 1024, 4096}) {
+    for (const std::int8_t code : {std::int8_t{127}, std::int8_t{-127}}) {
+      for (const bool mixed : {false, true}) {
+        const std::vector<std::int8_t> a(m * k, code);
+        std::vector<std::uint8_t> bbuf(k * n, 255);
+        if (mixed) {
+          for (std::size_t i = 0; i < bbuf.size(); i += 3) bbuf[i] = 0;
+        }
+        const random_epilogue e(m, gen, false);
+        expect_kernels_match_naive(a, m, n, k,
+                                   ops::u8_view{bbuf.data(), n, 1}, e.epi, n,
+                                   1);
+      }
+    }
+  }
+  // 66,400 * 127 * 255 = 2,150,364,000 > 2^31 - 1 at the midpoint.
+  const std::size_t k = 2 * 66400;
+  std::vector<std::int8_t> a(m * k, 127);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::fill(a.begin() + static_cast<std::ptrdiff_t>(i * k + k / 2),
+              a.begin() + static_cast<std::ptrdiff_t>((i + 1) * k),
+              std::int8_t{-127});
+  }
+  const std::vector<std::uint8_t> bbuf(k * n, 255);
+  const random_epilogue e(m, gen, false);
+  expect_kernels_match_naive(a, m, n, k, ops::u8_view{bbuf.data(), n, 1},
+                             e.epi, n, 1);
 }
 
 // One packed weight serves calls of any width, in any order, and agrees

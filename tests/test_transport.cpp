@@ -4,9 +4,12 @@
 // counters, and graceful local fallback when the link dies mid-run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <mutex>
@@ -16,6 +19,8 @@
 
 #include "collab/cost_model.hpp"
 #include "nn/serialize.hpp"
+#include "obs/exporter.hpp"
+#include "obs/metrics.hpp"
 #include "serve/backends.hpp"
 #include "serve/cloud_channel.hpp"
 #include "serve/cloud_model.hpp"
@@ -27,6 +32,7 @@
 #include "util/error.hpp"
 #include "util/net.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -402,6 +408,101 @@ TEST(transport, engine_serves_identically_over_sim_and_uds) {
   EXPECT_DOUBLE_EQ(sim.online_accuracy, uds.online_accuracy);
   EXPECT_EQ(uds.link.local_fallbacks, 0U);
   EXPECT_EQ(uds.link.wire.appeals_sent, uds.appealed);
+}
+
+/// The names of this process's live threads, from /proc/self/task/*/comm.
+std::vector<std::string> thread_names() {
+  std::vector<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(transport, serving_threads_are_named_by_role) {
+  // Every long-lived serving thread names itself, so a per-thread CPU
+  // sample (/proc/<pid>/task/*/stat) reads as a split by role: the
+  // engine's edge workers, the channel's sender and socket reader, the
+  // simulated link's timer, the stub's acceptor, connections and scorers,
+  // the shared pool's workers, and both metrics exporters.
+  const std::size_t n = 64;
+  std::vector<std::size_t> labels(n), little(n), big(n);
+  std::vector<double> scores(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = i % 10;
+    little[i] = labels[i];
+    big[i] = labels[i];
+    scores[i] = i % 2 == 0 ? 0.9 : 0.1;  // half the requests appeal
+  }
+  replay_edge_backend edge(little, scores);
+  replay_cloud_backend cloud(big);
+
+  stub_server_config scfg;
+  scfg.kind = transport_kind::uds;
+  scfg.endpoint = unique_uds_path("names");
+  scfg.workers = 2;
+  stub_server stub(scfg, key_scorer);
+  stub.start();
+  util::thread_pool::set_shared_size(2);
+  obs::metrics_registry registry;
+  obs::metrics_http_server http(registry, "127.0.0.1:0");
+  const std::string json_path = unique_uds_path("names") + ".json";
+  obs::json_snapshot_writer json(registry, json_path,
+                                 std::chrono::milliseconds(50));
+
+  const auto make_config = [](const link_config& link) {
+    engine_config cfg;
+    cfg.num_workers = 2;
+    cfg.threshold.adapt = threshold_config::mode::fixed;
+    cfg.threshold.initial_delta = 0.5;
+    cfg.channel = link;
+    return cfg;
+  };
+  link_config uds_link;
+  uds_link.transport = transport_kind::uds;
+  uds_link.endpoint = scfg.endpoint;
+  link_config sim_link;
+  sim_link.time_scale = 0.0;
+  {
+    engine uds_engine(make_config(uds_link),
+                      engine_resources::standalone(edge, cloud));
+    engine sim_engine(make_config(sim_link),
+                      engine_resources::standalone(edge, cloud));
+    // A served appeal proves the stub accepted the connection.
+    for (std::size_t i = 0; i < n; ++i) {
+      uds_engine.submit(tensor(), i, labels[i]);
+    }
+    uds_engine.drain();
+    ASSERT_GT(uds_engine.snapshot().link.wire.appeals_sent, 0U);
+
+    const std::vector<std::string> names = thread_names();
+    const auto count = [&](const std::string& prefix) {
+      return std::count_if(names.begin(), names.end(),
+                           [&](const std::string& name) {
+                             return name.rfind(prefix, 0) == 0;
+                           });
+    };
+    EXPECT_EQ(count("edge-0"), 2);  // one per engine
+    EXPECT_EQ(count("edge-1"), 2);
+    EXPECT_EQ(count("channel-send"), 2);
+    EXPECT_EQ(count("channel-recv"), 1);
+    EXPECT_EQ(count("sim-link"), 1);
+    EXPECT_EQ(count("stub-accept"), 1);
+    EXPECT_EQ(count("stub-conn-"), 1);
+    EXPECT_EQ(count("stub-score-0"), 1);
+    EXPECT_EQ(count("stub-score-1"), 1);
+    EXPECT_EQ(count("pool-0"), 1);
+    EXPECT_EQ(count("metrics-http"), 1);
+    EXPECT_EQ(count("metrics-json"), 1);
+    for (const std::string& name : names) EXPECT_LE(name.size(), 15U);
+  }  // the engines close their links before the stub stops
+  stub.stop();
+  json.stop();
+  util::thread_pool::set_shared_size(1);
+  std::filesystem::remove(json_path);
 }
 
 wire::appeal_record make_appeal(std::uint64_t id, priority_class priority,
