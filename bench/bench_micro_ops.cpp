@@ -9,7 +9,8 @@
 // inverts. The int8 edge path is covered kernel by kernel on the served
 // network's shapes — the quantized GEMM per dense layer, the depthwise
 // kernel per plane size — each at serving batches 1, 4 and 16, and end
-// to end (fp32 and int8 edge forward) at batches 1, 2, 4, 8 and 16. The
+// to end (fp32 and int8 edge forward) at batches 1, 2, 4, 8 and 16, and
+// so is its deployment cost (quantize_two_head on 256 images). The
 // MobileNet GEMM shapes also run once per kernel the host can execute:
 // fp32 baseline and AVX2 build of the same code; int8 sse2, avx2 and
 // avxvnni. The report's context names the kernels in force.
@@ -294,18 +295,23 @@ void bm_depthwise_mobilenet_4x4(benchmark::State& s) {
 }
 BENCHMARK(bm_depthwise_mobilenet_4x4)->Arg(1)->Arg(4)->Arg(16);
 
-/// The served edge network end to end (extractor and both heads): the
-/// two-head MobileNet at 16x16 with 10 classes, either conv+BN folded in
-/// fp32 or rewritten to int8 by quantize_two_head. The argument is the
-/// serving batch; "images/s" is items_per_second.
-void run_edge_forward(benchmark::State& state, bool int8) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
+/// The served edge network: the two-head MobileNet at 16x16 with 10
+/// classes.
+core::two_head_config served_edge_config() {
   core::two_head_config cfg;
   cfg.spec.family = models::model_family::mobilenet;
   cfg.spec.image_size = 16;
   cfg.spec.num_classes = 10;
   cfg.init_seed = 0x5EED;
-  core::two_head_network net(cfg);
+  return cfg;
+}
+
+/// The served edge network end to end (extractor and both heads), either
+/// conv+BN folded in fp32 or rewritten to int8 by quantize_two_head. The
+/// argument is the serving batch; "images/s" is items_per_second.
+void run_edge_forward(benchmark::State& state, bool int8) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  core::two_head_network net(served_edge_config());
   util::rng gen(10);
   if (int8) {
     quant::quantize_two_head(
@@ -330,6 +336,24 @@ void bm_edge_forward_int8(benchmark::State& s) { run_edge_forward(s, true); }
 BENCHMARK(bm_edge_forward_int8)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 void bm_edge_forward_fp32(benchmark::State& s) { run_edge_forward(s, false); }
 BENCHMARK(bm_edge_forward_fp32)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+/// One int8 edge deployment's build cost: quantize_two_head on a fresh
+/// served edge network with 256 calibration images, the shape each
+/// perfbench and bench_serving edge worker builds. Network construction
+/// is outside the timed region.
+void bm_quantize_two_head(benchmark::State& state) {
+  util::rng gen(11);
+  const tensor calibration =
+      tensor::rand_uniform(shape{256, 3, 16, 16}, gen, -1.0F, 1.0F);
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::two_head_network net(served_edge_config());
+    state.ResumeTiming();
+    quant::quant_report report = quant::quantize_two_head(net, calibration);
+    benchmark::DoNotOptimize(report.quantized);
+  }
+}
+BENCHMARK(bm_quantize_two_head)->Unit(benchmark::kMillisecond);
 
 void bm_im2col(benchmark::State& state) {
   ops::conv_geometry g;

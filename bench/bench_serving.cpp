@@ -96,6 +96,7 @@
 #include "serve/cloud_model.hpp"
 #include "serve/server.hpp"
 #include "serve/transport/synthetic_scorer.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -467,8 +468,10 @@ int main(int argc, char** argv) {
   cfg.shard.admission.policy =
       parse_admission(args.get_string_or("admission", "block"));
   cfg.shard.trace_sample_rate = args.get_double_or("trace_sample", 0.0);
-  cfg.shard.gemm_threads =
-      static_cast<std::size_t>(args.get_int_or("gemm_threads", 0));
+  if (const auto gemm_threads = args.get_int_or("gemm_threads", 0);
+      gemm_threads > 0) {
+    ops::set_gemm_threads(static_cast<std::size_t>(gemm_threads));
+  }
   const std::string trace_path = args.get_string_or("trace", "");
   const std::string metrics_endpoint = args.get_string_or("metrics", "");
   const std::string metrics_dump = args.get_string_or("metrics_dump", "");
@@ -512,7 +515,9 @@ int main(int argc, char** argv) {
           nw.fp32_delta);
       // Each worker rebuilds + requantizes from the shared calibration
       // sample and bit vector — deterministic init makes every instance
-      // (and the offline tables above) bit-identical.
+      // (and the offline tables above) bit-identical. The workers build
+      // concurrently, each on its own thread, so the factory only reads
+      // what it captured.
       edge_factory = [calibration = nw.calibration,
                       bits = nw.bits](std::size_t, std::size_t) {
         auto net = std::make_unique<core::two_head_network>(edge_net_config());

@@ -17,6 +17,10 @@ namespace appeal::quant {
 
 namespace {
 
+/// Samples per calibration forward: the engine's max_batch_size in every
+/// served configuration, so calibration touches the served working set.
+constexpr std::size_t kCalibrationChunk = 16;
+
 /// Pass-through wrapper that records the min/max of everything flowing
 /// into its inner layer during the calibration forward. The observed
 /// range becomes the layer's per-tensor activation grid.
@@ -138,9 +142,12 @@ quant_report quantize_two_head(core::two_head_network& net,
                    std::to_string(bits_per_layer.size()) + " entries for " +
                    std::to_string(quantizable) + " quantizable layers");
 
-  // Install observers in front of every rewrite site, run ONE calibration
-  // forward (full two-head, so the approximator head sees real features),
-  // then swap each observed float layer for its quantized twin.
+  // Install observers in front of every rewrite site, run the calibration
+  // forward (full two-head, so the approximator head sees real features)
+  // over consecutive chunks of the calibration batch, then swap each
+  // observed float layer for its quantized twin. Every layer computes a
+  // sample the same bits at any batch size and min/max ignores grouping,
+  // so the chunked ranges equal those of one full-batch pass.
   for (candidate& c : candidates) {
     if (!c.dense) continue;
     auto obs = std::make_unique<range_observer>();
@@ -148,7 +155,16 @@ quant_report quantize_two_head(core::two_head_network& net,
     nn::layer_ptr original = c.parent->replace_child(c.index, std::move(obs));
     c.observer->adopt(std::move(original));
   }
-  net.forward(calibration, /*training=*/false);
+  const shape& dims = calibration.dims();
+  const std::size_t samples = dims.batch();
+  const std::size_t per_sample = calibration.size() / samples;
+  for (std::size_t begin = 0; begin < samples; begin += kCalibrationChunk) {
+    const std::size_t count = std::min(kCalibrationChunk, samples - begin);
+    tensor chunk(shape{count, dims.channels(), dims.height(), dims.width()});
+    std::copy_n(calibration.data() + begin * per_sample, count * per_sample,
+                chunk.data());
+    net.forward(chunk, /*training=*/false);
+  }
 
   quant_report report;
   std::size_t k = 0;

@@ -2,11 +2,15 @@
 //
 // quantize_two_head() is the deployment entry point for the quantized
 // edge path (deployment_config::edge_precision = int8 | auto). It
-// prepares the network (batchnorm folding + activation fusion), runs ONE
-// calibration pass over sample images with lightweight range observers
-// installed in front of every dense conv2d / linear, then rewrites each
-// observed layer into quant::qconv2d / quant::qlinear at the requested
-// per-layer bit-width. Depthwise and grouped convolutions stay float —
+// prepares the network (batchnorm folding + activation fusion), runs the
+// calibration images through it in consecutive chunks of 16 samples (the
+// served max_batch_size) with lightweight range observers installed in
+// front of every dense conv2d / linear, then rewrites each observed layer
+// into quant::qconv2d / quant::qlinear at the requested per-layer
+// bit-width. The chunking changes no bit of any activation grid: every
+// layer computes a sample the same bits at any batch size, and a min/max
+// range does not depend on how the samples are grouped. It keeps peak
+// memory at one chunk's activations instead of the whole batch's. Depthwise and grouped convolutions stay float —
 // their GEMMs are too thin for the int8 packing to win, and they are a
 // tiny share of the MACs. The predictor (appeal) head also stays float:
 // it is one tiny FC layer, and its score feeds the routing threshold, so

@@ -17,13 +17,13 @@ deployment_config labeled(deployment_config cfg, const std::string& name) {
   return cfg;
 }
 
-engine_resources owned_backends(const engine_config& cfg,
-                                const edge_backend_factory& edge,
+engine_resources owned_backends(edge_backend_factory edge,
                                 const cloud_backend_factory& cloud) {
   APPEAL_CHECK(edge != nullptr, "deployment needs an edge backend factory");
   APPEAL_CHECK(cloud != nullptr, "deployment needs a cloud backend factory");
   return engine_resources::owning(
-      cfg, [&edge](std::size_t worker) { return edge(0, worker); }, cloud);
+      [edge = std::move(edge)](std::size_t worker) { return edge(0, worker); },
+      cloud);
 }
 
 }  // namespace
@@ -63,8 +63,7 @@ deployment::deployment(std::string name, const deployment_config& cfg,
                        edge_backend_factory edge, cloud_backend_factory cloud)
     : name_(std::move(name)),
       config_(labeled(cfg, name_)),
-      engine_(config_.shard, owned_backends(config_.shard, edge, cloud),
-              name_) {
+      engine_(config_.shard, owned_backends(std::move(edge), cloud), name_) {
   // Every deployment exports the bit-width of its edge path, so a scrape
   // can tell a quantized deployment from a float one at a glance.
   obs::default_registry()

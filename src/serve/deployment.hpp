@@ -24,7 +24,10 @@ namespace appeal::serve {
 
 /// Builds the edge backend for edge worker `worker`. The first argument
 /// is always 0; it is kept only because perfbench still passes a
-/// two-argument factory.
+/// two-argument factory. The engine calls it once per worker, on that
+/// worker's thread, and all workers call it concurrently, so it must be
+/// thread-safe; the deployment constructor returns only once every
+/// worker's backend is built.
 using edge_backend_factory = std::function<std::unique_ptr<edge_backend>(
     std::size_t shard, std::size_t worker)>;
 using cloud_backend_factory =
@@ -66,9 +69,6 @@ struct deployment_config {
 /// workers, a zero-capacity request queue, a zero max batch size; and
 /// any `shards` other than 1. Throws util::error; the deployment
 /// constructor runs this before building any resource.
-/// (A cross-deployment `gemm_threads` conflict is NOT an error — the
-/// pool is process-global and the last writer wins — but the engine logs
-/// it instead of clobbering silently.)
 void validate(const deployment_config& cfg);
 
 class deployment {

@@ -1,13 +1,14 @@
 #include "serve/engine.hpp"
 
 #include <chrono>
+#include <exception>
+#include <functional>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_s8.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 namespace appeal::serve {
@@ -20,34 +21,10 @@ double ms_between(clock::time_point from, clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// Applies cfg.gemm_threads (process-global, last writer wins) and keeps
-/// the appeal_gemm_threads gauge telling the truth about what is in
-/// force — whether this engine set it or an earlier one / the
-/// APPEAL_GEMM_THREADS environment did. A conflicting request is logged
-/// (with both deployments named) instead of silently clobbered.
-/// Also exports the fp32 and int8 kernels in force as
-/// appeal_gemm_kernel_info{precision=...,kernel=...} 1.
-void apply_gemm_threads(const engine_config& cfg) {
-  if (cfg.gemm_threads > 0) {
-    static std::mutex mutex;
-    static std::size_t last_value = 0;
-    static std::string last_owner;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (last_value != 0 && last_value != cfg.gemm_threads) {
-        APPEAL_LOG_WARN("engine")
-            << "gemm_threads conflict: the GEMM pool is process-global and "
-               "the last writer wins"
-            << util::kv("in_force", last_value)
-            << util::kv("in_force_deployment", last_owner)
-            << util::kv("requested", cfg.gemm_threads)
-            << util::kv("deployment", cfg.stats.deployment);
-      }
-      last_value = cfg.gemm_threads;
-      last_owner = cfg.stats.deployment;
-    }
-    ops::set_gemm_threads(cfg.gemm_threads);
-  }
+/// Exports the GEMM settings in force for this process: the
+/// appeal_gemm_threads gauge and appeal_gemm_kernel_info{precision=...,
+/// kernel=...} 1 for the fp32 and int8 kernels.
+void publish_gemm_info() {
   obs::default_registry()
       .get_gauge("appeal_gemm_threads", {},
                  "intra-GEMM parallelism of edge forwards (process-global)")
@@ -71,30 +48,6 @@ obs::counter& node_counter(const char* family, const std::string& deployment,
   return obs::default_registry().get_counter(family, std::move(labels), help);
 }
 
-/// Resolves the per-worker backend pointers from an engine_resources:
-/// one shared backend fanned out, or exactly one owned backend per
-/// worker.
-std::vector<edge_backend*> resolve_edge_backends(
-    edge_backend* shared, const std::vector<std::unique_ptr<edge_backend>>& owned,
-    std::size_t num_workers) {
-  APPEAL_CHECK(num_workers > 0, "engine needs at least one worker");
-  std::vector<edge_backend*> backends;
-  backends.reserve(num_workers);
-  if (shared != nullptr) {
-    APPEAL_CHECK(owned.empty(),
-                 "engine_resources: shared_edge excludes owned_edge");
-    backends.assign(num_workers, shared);
-    return backends;
-  }
-  APPEAL_CHECK(owned.size() == num_workers,
-               "one edge backend per worker required");
-  for (const auto& backend : owned) {
-    APPEAL_CHECK(backend != nullptr, "edge backend must not be null");
-    backends.push_back(backend.get());
-  }
-  return backends;
-}
-
 /// The cloud backend behind the engine's channel: the borrowed one, or
 /// the one the engine owns.
 cloud_backend& resolve_cloud(cloud_backend* shared, cloud_backend* owned) {
@@ -114,15 +67,12 @@ engine_resources engine_resources::standalone(edge_backend& edge,
 }
 
 engine_resources engine_resources::owning(
-    const engine_config& cfg, const worker_edge_factory& edge_factory,
+    worker_edge_factory edge_factory,
     const std::function<std::unique_ptr<cloud_backend>()>& cloud_factory) {
   APPEAL_CHECK(edge_factory != nullptr && cloud_factory != nullptr,
                "engine backend factories must not be null");
   engine_resources res;
-  res.owned_edge.reserve(cfg.num_workers);
-  for (std::size_t w = 0; w < cfg.num_workers; ++w) {
-    res.owned_edge.push_back(edge_factory(w));
-  }
+  res.edge_factory = std::move(edge_factory);
   res.owned_cloud = cloud_factory();
   APPEAL_CHECK(res.owned_cloud != nullptr, "cloud factory returned null");
   return res;
@@ -132,11 +82,9 @@ engine::engine(const engine_config& cfg, engine_resources&& res,
                std::string link_name)
     : config_(cfg),
       sampler_(cfg.trace_sample_rate),
-      owned_edge_(std::move(res.owned_edge)),
       owned_cloud_(std::move(res.owned_cloud)),
-      edge_backends_(resolve_edge_backends(res.shared_edge, owned_edge_,
-                                           cfg.num_workers)),
       queue_(cfg.queue_capacity),
+      workers_(*this, res),
       channel_(resolve_cloud(res.shared_cloud, owned_cloud_.get()),
                config_.link, config_.channel, std::move(link_name)),
       controller_(cfg.threshold, &config_.link),
@@ -146,18 +94,45 @@ engine::engine(const engine_config& cfg, engine_resources&& res,
       edge_("edge_infer", cfg.stats.deployment),
       decide_("appeal_decide", cfg.stats.deployment),
       cloud_("cloud_appeal", cfg.stats.deployment) {
-  apply_gemm_threads(config_);
-  workers_.reserve(edge_backends_.size());
+  publish_gemm_info();
   try {
-    for (edge_backend* backend : edge_backends_) {
-      workers_.emplace_back([this, backend, i = workers_.size()] {
-        util::set_thread_name("edge-" + std::to_string(i));
-        worker(*backend);
-      });
+    workers_.wait_built();
+  } catch (...) {
+    shutdown();
+    throw;
+  }
+}
+
+engine::worker_pool::worker_pool(engine& owner, const engine_resources& res)
+    : queue_(owner.queue_) {
+  const std::size_t n = owner.config_.num_workers;
+  APPEAL_CHECK(n > 0, "engine needs at least one worker");
+  APPEAL_CHECK((res.shared_edge != nullptr) != (res.edge_factory != nullptr),
+               "engine_resources: give exactly one of shared_edge and "
+               "edge_factory");
+  threads_.reserve(n);
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::promise<void> built;
+      if (res.edge_factory) built_.push_back(built.get_future());
+      threads_.emplace_back(&engine::run_worker, &owner, i,
+                            std::cref(res.edge_factory), res.shared_edge,
+                            std::move(built));
     }
   } catch (...) {
-    shutdown();  // joins the workers already started
+    join();
     throw;
+  }
+}
+
+void engine::worker_pool::wait_built() {
+  for (std::future<void>& f : built_) f.get();
+}
+
+void engine::worker_pool::join() {
+  queue_.close();
+  for (std::thread& t : threads_) {
+    if (t.joinable()) t.join();
   }
 }
 
@@ -233,11 +208,25 @@ void engine::shutdown() {
   // off appeals inline, so once they are joined every admitted request
   // has either completed or reached the channel; the channel drain then
   // waits out those appeals.
-  queue_.close();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  workers_.join();
   channel_.drain();
+}
+
+void engine::run_worker(std::size_t index, const worker_edge_factory& factory,
+                        edge_backend* shared, std::promise<void> built) {
+  util::set_thread_name("edge-" + std::to_string(index));
+  std::unique_ptr<edge_backend> owned;
+  if (shared == nullptr) {
+    try {
+      owned = factory(index);
+      APPEAL_CHECK(owned != nullptr, "edge factory returned null");
+    } catch (...) {
+      built.set_exception(std::current_exception());
+      return;
+    }
+    built.set_value();
+  }
+  worker(owned != nullptr ? *owned : *shared);
 }
 
 void engine::worker(edge_backend& backend) {

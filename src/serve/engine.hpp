@@ -38,7 +38,12 @@
 //
 // Threading: `num_workers` edge threads (one backend per worker so
 // stateful backends such as network_edge_backend stay single-threaded,
-// each with its thread-local nn::inference_workspace arena). A form mutex
+// each with its thread-local nn::inference_workspace arena). With a
+// worker factory, each worker builds its own backend on its own thread
+// before it serves, so the workers build concurrently, while the channel
+// connects, and each backend's memory and workspace belong to the thread
+// that runs it; the constructor returns only once every backend is
+// built. A form mutex
 // lets one worker form a batch at a time, so the queue keeps a single
 // consumer and two waiting workers never split one batch; it is released
 // before the forward, so while one worker infers the next forms. The
@@ -87,6 +92,8 @@ struct node_stats {
 }  // namespace pipeline
 
 /// Builds the edge backend for one worker (`worker` indexes the pool).
+/// The engine calls it once per worker, on that worker's thread, and all
+/// workers call it concurrently, so it must be thread-safe.
 using worker_edge_factory =
     std::function<std::unique_ptr<edge_backend>(std::size_t worker)>;
 
@@ -109,13 +116,6 @@ struct engine_config {
   /// 1 = every request; 0.01 traces every 100th). Sampled spans are
   /// stamped at each stage boundary and land in obs::default_collector().
   double trace_sample_rate = 0.0;
-  /// When > 0, sets ops::set_gemm_threads at engine construction — the
-  /// intra-GEMM parallelism of this engine's edge forwards. The setting
-  /// is PROCESS-GLOBAL (one shared pool under every backend), so the
-  /// last-constructed engine wins; conflicting values are logged and the
-  /// winner is exported as the appeal_gemm_threads gauge so a scrape
-  /// shows what is in force.
-  std::size_t gemm_threads = 0;
 };
 
 /// The backends an engine runs on. Everything else (channel, δ
@@ -123,13 +123,13 @@ struct engine_config {
 ///
 ///   edge   — either `shared_edge` (one thread-safe backend used by every
 ///            worker; must be thread-safe or num_workers == 1) or
-///            `owned_edge` (exactly one backend per worker, engine-owned);
+///            `edge_factory` (each worker builds and owns its own backend);
 ///   cloud  — either `shared_cloud` or `owned_cloud`, scored behind the
 ///            engine's cloud_channel.
 ///
 /// Use the named factories below rather than filling fields by hand.
 struct engine_resources {
-  std::vector<std::unique_ptr<edge_backend>> owned_edge;
+  worker_edge_factory edge_factory;
   edge_backend* shared_edge = nullptr;
   std::unique_ptr<cloud_backend> owned_cloud;
   cloud_backend* shared_cloud = nullptr;
@@ -138,10 +138,12 @@ struct engine_resources {
   /// the minimal single-model test setup.
   static engine_resources standalone(edge_backend& edge, cloud_backend& cloud);
 
-  /// Invokes the factories (edge once per worker, cloud once); the
-  /// engine keeps the backends alive for its lifetime.
+  /// Keeps the edge factory for the engine's workers to call (once each,
+  /// concurrently, on their own threads) and invokes the cloud factory
+  /// once. Each worker owns its edge backend until it exits at shutdown;
+  /// the engine owns the cloud backend for its lifetime.
   static engine_resources owning(
-      const engine_config& cfg, const worker_edge_factory& edge_factory,
+      worker_edge_factory edge_factory,
       const std::function<std::unique_ptr<cloud_backend>()>& cloud_factory);
 };
 
@@ -151,6 +153,9 @@ class engine {
   /// `link_name` names the cloud channel: the {link} label on its
   /// instruments and the `model` field of its wire frames (a deployment
   /// passes its own name; empty for a standalone engine).
+  /// Returns once every worker has its backend. If an edge factory throws,
+  /// the engine shuts down, joins its workers and rethrows the error of
+  /// the lowest-numbered worker that failed.
   engine(const engine_config& cfg, engine_resources&& res,
          std::string link_name = "");
 
@@ -235,6 +240,31 @@ class engine {
     column in_, out_, egress_;
   };
 
+  /// The edge worker threads. Destruction closes the request queue and
+  /// joins them, so a constructor that throws after they started leaves
+  /// none running.
+  class worker_pool {
+   public:
+    /// Starts one thread per configured worker, each running
+    /// run_worker(); `res` must outlive wait_built().
+    worker_pool(engine& owner, const engine_resources& res);
+    ~worker_pool() { join(); }
+    /// Blocks until every worker has its backend; rethrows the error of
+    /// the lowest-numbered worker whose factory failed.
+    void wait_built();
+    /// Closes the request queue and joins the workers. Idempotent.
+    void join();
+
+   private:
+    request_queue& queue_;
+    std::vector<std::thread> threads_;
+    std::vector<std::future<void>> built_;
+  };
+
+  /// Thread body of worker `index`: builds its backend from `factory`
+  /// (or uses `shared`), reports to `built`, then serves through worker().
+  void run_worker(std::size_t index, const worker_edge_factory& factory,
+                  edge_backend* shared, std::promise<void> built);
   /// One edge worker: forms a batch under the form mutex, splits off the
   /// members whose deadline passed in the queue, runs the forward and
   /// hands the batch to decide(). Returns once the queue is closed and
@@ -254,10 +284,13 @@ class engine {
 
   engine_config config_;
   obs::trace_sampler sampler_;  // every-Nth from config_.trace_sample_rate
-  std::vector<std::unique_ptr<edge_backend>> owned_edge_;
   std::unique_ptr<cloud_backend> owned_cloud_;
-  std::vector<edge_backend*> edge_backends_;
   request_queue queue_;
+  std::mutex form_mutex_;  // one edge worker forms a batch at a time
+  /// Started before channel_ connects, so the backends build meanwhile.
+  /// Until its first request a worker touches only config_, queue_ and
+  /// form_mutex_, all declared above.
+  worker_pool workers_;
   cloud_channel channel_;
   threshold_controller controller_;
   serve_stats stats_;  // windows channel_'s counters too
@@ -273,8 +306,6 @@ class engine {
   std::condition_variable drained_;
   bool shut_down_ = false;
   std::mutex shutdown_mutex_;
-  std::mutex form_mutex_;  // one edge worker forms a batch at a time
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace appeal::serve

@@ -37,8 +37,11 @@ class server {
   server(const server&) = delete;
   server& operator=(const server&) = delete;
 
-  /// Registers a named deployment and starts its engine. Throws
-  /// util::error on a duplicate name or after shutdown().
+  /// Registers a named deployment and starts its engine. The engine's
+  /// workers call `edge` concurrently, one call each on its own thread,
+  /// so it must be thread-safe; this returns once every worker's backend
+  /// is built. Throws util::error on a duplicate name or after
+  /// shutdown(), and rethrows a factory's error.
   deployment& register_deployment(const std::string& name,
                                   const deployment_config& cfg,
                                   edge_backend_factory edge,

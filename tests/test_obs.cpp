@@ -394,7 +394,6 @@ TEST(trace, engine_spans_reconcile_with_measured_latency) {
     serve::engine eng(
         cfg,
         serve::engine_resources::owning(
-            cfg,
             [&](std::size_t) {
               return std::make_unique<serve::replay_edge_backend>(preds,
                                                                   scores);

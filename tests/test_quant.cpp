@@ -1,7 +1,8 @@
 // Tests for the int8 edge quantization subsystem (src/quant): quantized
 // layer correctness against integer references and the float layers they
 // replace, the two-head graph rewrite, δ recalibration, the bit-width
-// autotuner's budget contract, and — end to end — that an int8 edge
+// autotuner's budget contract, calibration that does not depend on how
+// the samples are grouped, and — end to end — that an int8 edge
 // deployment served through the engine stays within the autotuner's
 // accuracy budget of the fp32 deployment.
 #include <algorithm>
@@ -276,6 +277,45 @@ TEST(quant, quantize_two_head_rewrites_dense_layers_only) {
   }
   EXPECT_LT(q_drift / static_cast<double>(out.q.size()), 0.05);
   EXPECT_LT(ops::max_abs_diff(out.logits, ref.logits), 1.0F);
+}
+
+TEST(quant, calibration_does_not_depend_on_grouping) {
+  // Calibration runs in chunks of 16 samples: 33 images leave a ragged
+  // last chunk, and reversing them regroups every sample. Either way the
+  // observed ranges, and so every int8 output bit, must be the same.
+  // Two planted pixels set the stem's input range: the maximum in image
+  // 32 (the ragged chunk; chunk 0 once reversed) and the minimum in image
+  // 24 (chunk 1; chunk 0 once reversed). A range lost from any one chunk
+  // position then changes the grid of exactly one of the two networks.
+  appeal::util::rng gen(31);
+  const std::size_t n = 33;
+  const std::size_t per_image = 3 * 16 * 16;
+  tensor calibration = random_images(n, gen);
+  calibration.data()[32 * per_image + 5] = 1.5F;
+  calibration.data()[24 * per_image + 7] = -1.5F;
+  tensor reversed(calibration.dims());
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy_n(calibration.data() + (n - 1 - i) * per_image, per_image,
+                reversed.data() + i * per_image);
+  }
+  core::two_head_network forward_net(tiny_mobilenet_config());
+  core::two_head_network reversed_net(tiny_mobilenet_config());
+  quant::quantize_two_head(forward_net, calibration);
+  quant::quantize_two_head(reversed_net, reversed);
+
+  const tensor probe = random_images(16, gen);
+  for (const std::size_t batch : {1U, 4U, 16U}) {
+    tensor input(shape{batch, 3, 16, 16});
+    std::copy_n(probe.data(), batch * per_image, input.data());
+    const core::two_head_output a = forward_net.forward(input, false);
+    const core::two_head_output b = reversed_net.forward(input, false);
+    ASSERT_EQ(a.logits.size(), b.logits.size());
+    ASSERT_EQ(a.q.size(), b.q.size());
+    EXPECT_TRUE(std::equal(a.logits.values().begin(), a.logits.values().end(),
+                           b.logits.values().begin()))
+        << "logits differ at batch " << batch;
+    EXPECT_EQ(a.q, b.q) << "q differs at batch " << batch;
+  }
 }
 
 TEST(quant, quantize_twice_throws) {

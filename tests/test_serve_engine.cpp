@@ -3,7 +3,8 @@
 // stats are self-consistent (also read live, and against the registry
 // instruments they are kept in), with a fixed δ the online accuracy/SR equal
 // the offline core::threshold evaluation of the same population, owned
-// factory backends, and deadline expiry.
+// factory backends (built concurrently, each on its worker's thread; a
+// failed construction leaves no worker running), and deadline expiry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "core/threshold.hpp"
 #include "metrics/metrics.hpp"
 #include "obs/metrics.hpp"
+#include "serve/deployment.hpp"
 #include "serve/engine.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_s8.hpp"
@@ -191,7 +193,6 @@ TEST(engine, owning_factory_constructor_serves_like_references) {
   serve::engine eng(
       cfg,
       serve::engine_resources::owning(
-          cfg,
           [&p](std::size_t) {
             return std::make_unique<serve::replay_edge_backend>(p.little,
                                                                 p.scores);
@@ -223,6 +224,137 @@ TEST(engine, owning_factory_constructor_serves_like_references) {
   const serve::stats_snapshot r = standalone.stats().snapshot();
   EXPECT_EQ(r.edge_kept, s.edge_kept);
   EXPECT_EQ(r.appealed, s.appealed);
+}
+
+/// Replay backend that remembers the thread that built it and counts the
+/// batches it serves on any other thread, and the instances still alive.
+class thread_checked_edge : public serve::replay_edge_backend {
+ public:
+  thread_checked_edge(const population& p, std::atomic<int>& wrong_thread,
+                      std::atomic<int>& alive)
+      : replay_edge_backend(p.little, p.scores),
+        builder_(std::this_thread::get_id()),
+        wrong_thread_(wrong_thread),
+        alive_(alive) {
+    alive_.fetch_add(1);
+  }
+  ~thread_checked_edge() override { alive_.fetch_sub(1); }
+  serve::edge_inference infer(const std::vector<serve::request>& batch)
+      override {
+    if (std::this_thread::get_id() != builder_) wrong_thread_.fetch_add(1);
+    return replay_edge_backend::infer(batch);
+  }
+
+ private:
+  std::thread::id builder_;
+  std::atomic<int>& wrong_thread_;
+  std::atomic<int>& alive_;
+};
+
+TEST(engine, workers_build_their_backends_concurrently_on_their_own_threads) {
+  // Every factory call waits until all of them have started: a serial
+  // build times out in the first call instead of hanging.
+  const std::size_t n = 1000;
+  const population p = make_population(n, 61);
+  serve::engine_config cfg = fast_config();
+  cfg.num_workers = 3;
+  std::mutex mutex;
+  std::condition_variable all_arrived;
+  std::vector<std::thread::id> builders;
+  std::size_t built = 0;
+  std::atomic<int> wrong_thread{0};
+  std::atomic<int> alive{0};
+  const auto factory = [&](std::size_t worker) {
+    std::unique_lock<std::mutex> lock(mutex);
+    builders.push_back(std::this_thread::get_id());
+    all_arrived.notify_all();
+    EXPECT_TRUE(all_arrived.wait_for(lock, std::chrono::seconds(3), [&] {
+      return builders.size() == cfg.num_workers;
+    })) << "worker " << worker << " built alone: the builds ran serially";
+    ++built;
+    return std::make_unique<thread_checked_edge>(p, wrong_thread, alive);
+  };
+  {
+    serve::engine eng(cfg, serve::engine_resources::owning(factory, [&p] {
+                        return std::make_unique<serve::replay_cloud_backend>(
+                            p.big);
+                      }));
+    {
+      // The constructor returned only once every backend existed.
+      std::lock_guard<std::mutex> lock(mutex);
+      EXPECT_EQ(built, cfg.num_workers);
+      ASSERT_EQ(builders.size(), cfg.num_workers);
+      for (std::size_t i = 0; i < builders.size(); ++i) {
+        EXPECT_NE(builders[i], std::this_thread::get_id());
+        for (std::size_t j = i + 1; j < builders.size(); ++j) {
+          EXPECT_NE(builders[i], builders[j]);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      eng.submit(tensor(), i, p.labels[i]);
+    }
+    eng.drain();
+    EXPECT_EQ(eng.stats().snapshot().completed, n);
+    EXPECT_EQ(alive.load(), static_cast<int>(cfg.num_workers));
+  }
+  EXPECT_EQ(wrong_thread.load(), 0)
+      << "a backend served a batch on a thread other than its builder's";
+  EXPECT_EQ(alive.load(), 0);
+}
+
+TEST(engine, failed_construction_leaves_no_worker_running) {
+  // Worker 1's factory throws: construction rethrows its error after
+  // joining every worker, so the backends the others built are gone by
+  // the time the exception arrives.
+  const population p = make_population(16, 67);
+  serve::engine_config cfg = fast_config();
+  cfg.num_workers = 3;
+  std::atomic<int> wrong_thread{0};
+  std::atomic<int> alive{0};
+  const auto factory = [&](std::size_t worker)
+      -> std::unique_ptr<serve::edge_backend> {
+    if (worker == 1) throw util::error("worker 1 cannot build");
+    return std::make_unique<thread_checked_edge>(p, wrong_thread, alive);
+  };
+  const auto cloud = [&p] {
+    return std::make_unique<serve::replay_cloud_backend>(p.big);
+  };
+  try {
+    serve::engine eng(cfg, serve::engine_resources::owning(factory, cloud));
+    ADD_FAILURE() << "engine construction did not throw";
+  } catch (const util::error& e) {
+    EXPECT_NE(std::string(e.what()).find("worker 1 cannot build"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(alive.load(), 0);
+
+  serve::deployment_config dep;
+  dep.shard = cfg;
+  EXPECT_THROW(serve::deployment("failing", dep,
+                                 [&](std::size_t, std::size_t worker) {
+                                   return factory(worker);
+                                 },
+                                 cloud),
+               util::error);
+  EXPECT_EQ(alive.load(), 0);
+
+  // The workers start building before the channel connects; a channel
+  // that cannot be built (a socket transport without an endpoint) joins
+  // them too.
+  serve::engine_config no_endpoint = cfg;
+  no_endpoint.channel.transport = serve::transport_kind::uds;
+  EXPECT_THROW(serve::engine(no_endpoint,
+                             serve::engine_resources::owning(
+                                 [&](std::size_t) {
+                                   return std::make_unique<thread_checked_edge>(
+                                       p, wrong_thread, alive);
+                                 },
+                                 cloud)),
+               util::error);
+  EXPECT_EQ(alive.load(), 0);
+  EXPECT_EQ(wrong_thread.load(), 0);
 }
 
 TEST(engine, expired_deadline_skips_inference) {
@@ -394,10 +526,6 @@ TEST(engine, simulated_link_delay_shows_up_in_cloud_latency) {
   EXPECT_GT(s.mean_link_ms, 0.0);
 }
 
-/// The stats ledger lives in the registry: snapshots taken while four
-/// client threads drive the engine must add up, and after the drain every
-/// snapshot count equals its registry instrument minus the value it had
-/// when the engine (and its baseline) was built. TSan runs this suite.
 // A scrape names the GEMM kernel this host runs, for both precisions.
 TEST(engine, exports_the_gemm_kernels_in_force) {
   const population p = make_population(16, 47);
@@ -417,6 +545,10 @@ TEST(engine, exports_the_gemm_kernels_in_force) {
   eng.shutdown();
 }
 
+/// The stats ledger lives in the registry: snapshots taken while four
+/// client threads drive the engine must add up, and after the drain every
+/// snapshot count equals its registry instrument minus the value it had
+/// when the engine (and its baseline) was built. TSan runs this suite.
 TEST(engine, live_snapshots_add_up_and_match_the_registry) {
   const std::size_t n = 4000;
   const population p = make_population(n, 61);

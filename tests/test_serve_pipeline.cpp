@@ -312,7 +312,6 @@ TEST(pipeline_engine, exported_ledgers_conserve_across_two_edge_workers) {
   edge_gate gate;
   serve::engine eng(
       cfg, serve::engine_resources::owning(
-               cfg,
                [&](std::size_t) {
                  return std::make_unique<gated_edge_backend>(gate, p.little,
                                                              p.scores);
